@@ -52,12 +52,23 @@
 //                          mean +/- 95% CI across them (default 1)
 //   --jobs=<n>             worker threads for replications (default: all
 //                          hardware threads; results are independent of n)
+//   --shards=<n>           engine partition: 0 runs every cluster on one
+//                          logical process (default); n >= 1 gives each
+//                          latency island its own, on up to n worker
+//                          threads (results are independent of n >= 1)
+//
+// A numeric value must parse in full as the flag's type (a plain decimal
+// count, or a finite real): an empty, malformed, signed-count, trailing-junk
+// or out-of-range value is an error (exit 2).
 //
 // Sample scenarios live in examples/scenarios/.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/parallel.h"
@@ -78,6 +89,38 @@ bool parse_flag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
+// Parses all of `text` as a T. Fails on an empty string, anything that is
+// not a number, trailing characters, a value T cannot hold (a sign on an
+// unsigned type included), and non-finite floating-point values.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  T value{};
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
+// Matches `--name=<number>` into `out`. A malformed number is reported and
+// sets `bad`; the caller exits 2.
+template <typename T>
+bool numeric_flag(const char* arg, const char* name, T* out, bool* bad) {
+  std::string text;
+  if (!parse_flag(arg, name, &text)) return false;
+  if (!parse_number(text, out)) {
+    std::fprintf(stderr, "%s: invalid %s value '%s'\n", name,
+                 std::is_floating_point_v<T> ? "numeric" : "integer",
+                 text.c_str());
+    *bad = true;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,8 +136,16 @@ int main(int argc, char** argv) {
   config.duration = 60.0;
   config.warmup = 15.0;
   bool print_cdf = false;
+  // --no-<directive> flags: clear that field of the loaded scenario.
   bool drop_faults = false;
   bool drop_overload = false;
+  bool drop_guard = false;
+  bool drop_forecast = false;
+  bool drop_admission = false;
+  bool drop_contingency = false;
+  bool drop_drains = false;
+  bool drop_bilevel = false;
+  bool bad_value = false;
   double server_price = -1.0;  // < 0 = keep the scenario's prices
   // --admit specs, resolved against class names after the scenario loads.
   std::vector<std::string> admit_specs;
@@ -103,6 +154,22 @@ int main(int argc, char** argv) {
   std::size_t jobs = 0;  // 0 = hardware concurrency
   std::string value;
   for (int i = 2; i < argc; ++i) {
+    // Numeric flags that only store their value.
+    if (numeric_flag(argv[i], "--duration", &config.duration, &bad_value) ||
+        numeric_flag(argv[i], "--warmup", &config.warmup, &bad_value) ||
+        numeric_flag(argv[i], "--seed", &config.seed, &bad_value) ||
+        numeric_flag(argv[i], "--cost-weight",
+                     &config.slate.optimizer.cost_weight, &bad_value) ||
+        numeric_flag(argv[i], "--forecast-season",
+                     &config.slate.forecast.season, &bad_value) ||
+        numeric_flag(argv[i], "--queue-limit", &config.overload.queue.max_queue,
+                     &bad_value) ||
+        numeric_flag(argv[i], "--server-price", &server_price, &bad_value) ||
+        numeric_flag(argv[i], "--jobs", &jobs, &bad_value) ||
+        numeric_flag(argv[i], "--shards", &config.shards, &bad_value)) {
+      if (bad_value) return 2;
+      continue;
+    }
     if (parse_flag(argv[i], "--policy", &value)) {
       if (value == "local") {
         config.policy = PolicyKind::kLocalOnly;
@@ -120,28 +187,19 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown policy '%s'\n", value.c_str());
         return 2;
       }
-    } else if (parse_flag(argv[i], "--duration", &value)) {
-      config.duration = std::stod(value);
-    } else if (parse_flag(argv[i], "--warmup", &value)) {
-      config.warmup = std::stod(value);
-    } else if (parse_flag(argv[i], "--seed", &value)) {
-      config.seed = std::stoull(value);
-    } else if (parse_flag(argv[i], "--cost-weight", &value)) {
-      config.slate.optimizer.cost_weight = std::stod(value);
     } else if (std::strcmp(argv[i], "--fast") == 0) {
       config.slate.use_fast_optimizer = true;
     } else if (std::strcmp(argv[i], "--autoscale") == 0) {
       config.autoscaler_enabled = true;
-    } else if (parse_flag(argv[i], "--timeout", &value)) {
+    } else if (numeric_flag(argv[i], "--timeout", &config.failure.call_timeout,
+                            &bad_value) ||
+               numeric_flag(argv[i], "--retries", &config.failure.max_retries,
+                            &bad_value)) {
       config.failure.enabled = true;
-      config.failure.call_timeout = std::stod(value);
-    } else if (parse_flag(argv[i], "--retries", &value)) {
-      config.failure.enabled = true;
-      config.failure.max_retries = std::stoull(value);
     } else if (std::strcmp(argv[i], "--no-faults") == 0) {
       drop_faults = true;
     } else if (std::strcmp(argv[i], "--no-guard") == 0) {
-      config.ignore_scenario_guard = true;
+      drop_guard = true;
     } else if (parse_flag(argv[i], "--forecast", &value)) {
       if (!forecast_kind_from_string(value, &config.slate.forecast.kind)) {
         std::fprintf(stderr,
@@ -150,53 +208,46 @@ int main(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
-    } else if (parse_flag(argv[i], "--forecast-season", &value)) {
-      config.slate.forecast.season = std::stoull(value);
     } else if (std::strcmp(argv[i], "--no-forecast") == 0) {
-      config.ignore_scenario_forecast = true;
+      drop_forecast = true;
     } else if (parse_flag(argv[i], "--dump-demand", &value)) {
       config.record_demand_trace = true;
       dump_demand_path = value;
-    } else if (parse_flag(argv[i], "--queue-limit", &value)) {
-      config.overload.queue.max_queue = std::stoull(value);
-    } else if (parse_flag(argv[i], "--deadline", &value)) {
+    } else if (numeric_flag(argv[i], "--deadline",
+                            &config.overload.deadline.default_deadline,
+                            &bad_value)) {
       config.overload.deadline.enabled = true;
-      config.overload.deadline.default_deadline = std::stod(value);
     } else if (std::strcmp(argv[i], "--no-overload") == 0) {
       drop_overload = true;
     } else if (parse_flag(argv[i], "--admit", &value)) {
       admit_specs.push_back(value);
     } else if (std::strcmp(argv[i], "--no-admission") == 0) {
-      config.ignore_scenario_admission = true;
+      drop_admission = true;
     } else if (std::strcmp(argv[i], "--contingency") == 0) {
       config.slate.contingency.enabled = true;
-    } else if (parse_flag(argv[i], "--contingency-cap", &value)) {
+    } else if (numeric_flag(
+                   argv[i], "--contingency-cap",
+                   &config.slate.contingency.max_post_failure_utilization,
+                   &bad_value)) {
       config.slate.contingency.enabled = true;
-      config.slate.contingency.max_post_failure_utilization = std::stod(value);
     } else if (std::strcmp(argv[i], "--no-contingency") == 0) {
-      config.ignore_scenario_contingency = true;
+      drop_contingency = true;
     } else if (std::strcmp(argv[i], "--no-drains") == 0) {
-      config.ignore_scenario_drains = true;
+      drop_drains = true;
     } else if (std::strcmp(argv[i], "--bilevel") == 0) {
       config.bilevel.enabled = true;
       config.autoscaler_enabled = true;
     } else if (std::strcmp(argv[i], "--no-bilevel") == 0) {
-      config.ignore_scenario_bilevel = true;
-    } else if (parse_flag(argv[i], "--server-price", &value)) {
-      server_price = std::stod(value);
+      drop_bilevel = true;
     } else if (std::strcmp(argv[i], "--cdf") == 0) {
       print_cdf = true;
-    } else if (parse_flag(argv[i], "--seeds", &value)) {
-      seeds = std::stoull(value);
+    } else if (numeric_flag(argv[i], "--seeds", &seeds, &bad_value)) {
       if (seeds == 0) seeds = 1;
-    } else if (parse_flag(argv[i], "--jobs", &value)) {
-      jobs = std::stoull(value);
-    } else if (parse_flag(argv[i], "--shards", &value)) {
-      config.shards = std::stoull(value);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
       return 2;
     }
+    if (bad_value) return 2;
   }
 
   Scenario scenario;
@@ -213,6 +264,12 @@ int main(int argc, char** argv) {
   }
   if (drop_faults) scenario.faults.clear();
   if (drop_overload) scenario.overload = OverloadPolicy{};
+  if (drop_guard) scenario.guard = GuardOptions{};
+  if (drop_forecast) scenario.forecast = ForecastOptions{};
+  if (drop_admission) scenario.admission = AdmissionPolicy{};
+  if (drop_contingency) scenario.contingency = ContingencyOptions{};
+  if (drop_drains) scenario.drains.clear();
+  if (drop_bilevel) scenario.bilevel = BilevelOptions{};
   if (server_price >= 0.0) {
     scenario.topology->set_uniform_server_price(server_price);
   }
@@ -222,13 +279,9 @@ int main(int argc, char** argv) {
   for (const std::string& spec : admit_specs) {
     const std::size_t colon = spec.find(':');
     double rps = 0.0;
-    try {
-      rps = std::stod(colon == std::string::npos ? spec
-                                                 : spec.substr(colon + 1));
-    } catch (const std::exception&) {
-      rps = 0.0;
-    }
-    if (rps <= 0.0) {
+    if (!parse_number(colon == std::string::npos ? spec : spec.substr(colon + 1),
+                      &rps) ||
+        rps <= 0.0) {
       std::fprintf(stderr, "--admit expects <class>:<rps> or <rps>, got '%s'\n",
                    spec.c_str());
       return 2;
@@ -479,6 +532,12 @@ int main(int argc, char** argv) {
         "mean confidence %.2f\n",
         static_cast<unsigned long long>(r.forecast_solves),
         r.forecast_mean_smape, r.forecast_mean_confidence);
+  }
+  if (r.causality_clamps > 0) {
+    std::printf(
+        "  engine   %llu cross-island messages clamped to a window end "
+        "(latency scaled under the lookahead)\n",
+        static_cast<unsigned long long>(r.causality_clamps));
   }
   if (r.autoscaler_scale_ups + r.autoscaler_scale_downs > 0) {
     std::printf("  autoscaler: %llu up / %llu down\n",

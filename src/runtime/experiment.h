@@ -128,13 +128,14 @@ struct RunConfig {
   // Retained spans (0 disables tracing).
   std::size_t trace_capacity = 0;
 
-  // Parallel sharded execution (docs/performance.md). 0 runs the legacy
-  // serial engine, bit-identical to previous releases. Any value >= 1
-  // partitions the simulation into one logical process per latency island
-  // (for GCP-like topologies, per cluster) under conservative-lookahead
-  // synchronization, with up to `shards` worker threads; shards=1 runs the
-  // same partitioned schedule single-threaded. All sharded runs of a config
-  // produce identical results regardless of the shard count.
+  // The partition of the sharded engine (docs/performance.md). 0 puts every
+  // cluster on one logical process (LP), the serial schedule. Any value >= 1
+  // gives each latency island (for GCP-like topologies, each cluster) its own
+  // LP under conservative-lookahead synchronization, with up to `shards`
+  // worker threads; shards=1 runs the same partitioned schedule
+  // single-threaded. All runs with shards >= 1 produce identical results
+  // regardless of the count. With one island, Waterfall reads its load
+  // meters live rather than through the barrier snapshot.
   std::size_t shards = 0;
 
   // Horizontal autoscaling of every station (paper §5 interaction study).
@@ -145,9 +146,6 @@ struct RunConfig {
   // kSlate and autoscaler_enabled; silently inert otherwise. Enabled here
   // overrides the scenario's wholesale.
   BilevelOptions bilevel;
-  // Run the scenario with its `bilevel` directive disarmed (slate_cli
-  // --no-bilevel). RunConfig::bilevel still applies when enabled.
-  bool ignore_scenario_bilevel = false;
 
   // Scheduled capacity changes (applied in addition to autoscaling).
   std::vector<CapacityEvent> capacity_events;
@@ -168,28 +166,10 @@ struct RunConfig {
   // (not just the measurement window) into ExperimentResult::*_series —
   // the goodput-over-time signal fault experiments are judged by.
   double timeseries_bucket = 0.0;
-  // Run the scenario with its `guard` directives disarmed (slate_cli
-  // --no-guard): only RunConfig::slate.guard gates apply. The unguarded
-  // arm of control-plane chaos comparisons.
-  bool ignore_scenario_guard = false;
-  // Run the scenario with its `forecast` directive disarmed (slate_cli
-  // --no-forecast): the reactive arm of predictive comparisons. A kind
-  // armed in RunConfig::slate.forecast still applies.
-  bool ignore_scenario_forecast = false;
   // Front-door admission control (token buckets at request birth). An
   // enabled policy here overrides the scenario's wholesale; see
   // docs/overload.md.
   AdmissionPolicy admission;
-  // Run the scenario with its `admission` directives disarmed (slate_cli
-  // --no-admission). RunConfig::admission still applies when enabled.
-  bool ignore_scenario_admission = false;
-  // Run the scenario with its `contingency` directive disarmed (slate_cli
-  // --no-contingency): the reactive-only arm of failover comparisons.
-  // RunConfig::slate.contingency still applies when enabled.
-  bool ignore_scenario_contingency = false;
-  // Run the scenario with its `drain` directives (and campaign-expanded
-  // drains) disarmed (slate_cli --no-drains). RunConfig::drains still apply.
-  bool ignore_scenario_drains = false;
   // Coordinated drains scheduled by the harness (merged with the
   // scenario's). See docs/resilience.md.
   std::vector<DrainSpec> drains;
@@ -406,6 +386,11 @@ struct ExperimentResult {
   // Discrete events the simulator executed over the whole run — the raw
   // work unit the engine's perf (bench/micro_simulator) is measured in.
   std::uint64_t sim_events = 0;
+  // Cross-island messages whose delivery time fell inside the window they
+  // were sent in (a fault that scales latency below the lookahead floor),
+  // delivered at the window end instead. 0 unless a fault arm shortens
+  // cross-island latency; always 0 with one island.
+  std::uint64_t causality_clamps = 0;
 
   double measured_seconds = 0.0;
 

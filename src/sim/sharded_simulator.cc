@@ -125,7 +125,8 @@ void ShardedSimulator::drain_outboxes(SimTime w_end) {
     // The latency floor makes `when >= w_end` in the fault-free case; a
     // fault arm that scales latencies below the floor is clamped here so
     // causality (and determinism) survive, at the cost of delivering those
-    // messages at the boundary.
+    // messages at the boundary. The clamps are counted, not hidden.
+    if (m.when < w_end) ++causality_clamps_;
     lps_[m.to]->schedule_at(std::max(m.when, w_end), std::move(m.fn));
   }
   drain_scratch_.clear();

@@ -75,6 +75,12 @@ class ShardedSimulator {
   // Lifetime events executed across all LPs plus the global LP.
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
 
+  // Messages whose `when` fell under the end of the window they were sent
+  // in, and which were therefore delivered at that window end (see send()).
+  [[nodiscard]] std::uint64_t causality_clamps() const noexcept {
+    return causality_clamps_;
+  }
+
  private:
   struct Message {
     SimTime when;
@@ -102,6 +108,7 @@ class ShardedSimulator {
   SimTime lookahead_;
   SimTime now_ = 0.0;
   std::size_t workers_;
+  std::uint64_t causality_clamps_ = 0;
 
   // Generation-counted barrier. The coordinator bumps `epoch_` to release
   // workers into a window; workers bump `done_` as they finish. The mutex +

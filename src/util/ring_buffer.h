@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <utility>
 
 namespace slate {
@@ -113,8 +114,8 @@ class RingBuffer {
 
   void grow() {
     const std::size_t new_capacity = capacity_ == 0 ? 8 : capacity_ * 2;
-    auto fresh = std::unique_ptr<unsigned char[]>(
-        new (std::align_val_t{alignof(T)}) unsigned char[new_capacity * sizeof(T)]);
+    auto fresh = Slots(new (std::align_val_t{alignof(T)})
+                           unsigned char[new_capacity * sizeof(T)]);
     for (std::size_t i = 0; i < size_; ++i) {
       T* from = ptr(physical(i));
       ::new (static_cast<void*>(fresh.get() + i * sizeof(T))) T(std::move(*from));
@@ -125,7 +126,15 @@ class RingBuffer {
     head_ = 0;
   }
 
-  std::unique_ptr<unsigned char[]> slots_;
+  // Storage comes from the aligned operator new[], so it must go back
+  // through the aligned operator delete[].
+  struct AlignedDelete {
+    void operator()(unsigned char* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{alignof(T)});
+    }
+  };
+  using Slots = std::unique_ptr<unsigned char[], AlignedDelete>;
+  Slots slots_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

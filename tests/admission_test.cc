@@ -385,13 +385,12 @@ TEST(AdmissionPins, DisabledAdmissionIsBitIdenticalToBaseline) {
   disabled.admission.enabled = false;
   expect_identical(plain, run_experiment(scenario, disabled));
 
-  // A scenario-armed policy disarmed with ignore_scenario_admission
+  // A scenario-armed policy disarmed by clearing the scenario's policy
   // (the CLI's --no-admission) is equally inert.
   Scenario armed = burst_scenario();
   armed.admission = burst_config(true).admission;
-  RunConfig ignore = base;
-  ignore.ignore_scenario_admission = true;
-  expect_identical(plain, run_experiment(armed, ignore));
+  armed.admission = AdmissionPolicy{};
+  expect_identical(plain, run_experiment(armed, base));
 
   // Zero admission activity in all three runs.
   EXPECT_EQ(plain.admission_admitted, 0u);

@@ -157,7 +157,7 @@ TEST(Bilevel, InertWithoutPrerequisites) {
   EXPECT_EQ(r2.bilevel_capacity_overrides, 0u);
 }
 
-// --ignore-scenario-bilevel (the --no-bilevel CLI flag) must make a
+// Clearing the scenario's directive (the --no-bilevel CLI flag) must make a
 // scenario-armed run identical to one whose scenario never armed it.
 TEST(Bilevel, IgnoreScenarioFlagDisarms) {
   RunConfig config;
@@ -169,9 +169,10 @@ TEST(Bilevel, IgnoreScenarioFlagDisarms) {
 
   Scenario armed = make_two_cluster_chain_scenario();
   armed.bilevel.enabled = true;
-  RunConfig ignore = config;
-  ignore.ignore_scenario_bilevel = true;
-  const ExperimentResult suppressed = run_experiment(armed, ignore);
+  Scenario ignored = make_two_cluster_chain_scenario();
+  ignored.bilevel.enabled = true;
+  ignored.bilevel = BilevelOptions{};
+  const ExperimentResult suppressed = run_experiment(ignored, config);
   const ExperimentResult plain =
       run_experiment(make_two_cluster_chain_scenario(), config);
   EXPECT_EQ(suppressed.bilevel_plans_pushed, 0u);

@@ -469,12 +469,14 @@ demand k b 100
   config.warmup = 2.0;
   config.seed = 5;
 
-  RunConfig disarmed = config;
-  disarmed.ignore_scenario_contingency = true;
-  disarmed.ignore_scenario_drains = true;
+  // The armed version of the same world, before --no-contingency and
+  // --no-drains clear the scenario's directives.
+  const ExperimentResult armed = run_experiment(with_directives, config);
+  with_directives.contingency = ContingencyOptions{};
+  with_directives.drains.clear();
 
   const ExperimentResult a = run_experiment(plain, config);
-  const ExperimentResult b = run_experiment(with_directives, disarmed);
+  const ExperimentResult b = run_experiment(with_directives, config);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.sim_events, b.sim_events);
@@ -484,7 +486,6 @@ demand k b 100
   EXPECT_EQ(b.drains_started, 0u);
 
   // And the armed version of the same world does engage both subsystems.
-  const ExperimentResult armed = run_experiment(with_directives, config);
   EXPECT_GT(armed.contingency_evals, 0u);
   EXPECT_EQ(armed.drains_started, 1u);
 }

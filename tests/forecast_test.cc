@@ -361,10 +361,10 @@ TEST(ForecastGauntlet, NoForecastFlagDisarmsScenarioDirective) {
   // flag must strip it so the reactive arm really is reactive.
   Scenario s = diurnal_scenario();
   s.forecast.kind = ForecastKind::kHoltWinters;
+  s.forecast = ForecastOptions{};
   RunConfig config = diurnal_config(ForecastKind::kNone);
   config.duration = 40.0;
   config.warmup = 10.0;
-  config.ignore_scenario_forecast = true;
   const ExperimentResult r = run_experiment(s, config);
   EXPECT_EQ(r.forecast_solves, 0u);
   EXPECT_DOUBLE_EQ(r.forecast_mean_smape, -1.0);

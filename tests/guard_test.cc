@@ -551,12 +551,13 @@ TEST(GuardGauntlet, GuardedRidesOutChaosThatCollapsesUnguarded) {
 }
 
 TEST(GuardGauntlet, ScenarioGuardDirectivesCanBeDisarmed) {
-  // slate_cli --no-guard: ignore_scenario_guard must strip the armed
-  // gates so the unguarded arm really is unguarded.
+  // slate_cli --no-guard: clearing the scenario's guard must strip the
+  // armed gates so the unguarded arm really is unguarded.
   RunConfig config = chaos_config();
   config.duration = 40.0;
-  config.ignore_scenario_guard = true;
-  const ExperimentResult r = run_experiment(chaos_scenario(true), config);
+  Scenario scenario = chaos_scenario(true);
+  scenario.guard = GuardOptions{};
+  const ExperimentResult r = run_experiment(scenario, config);
   EXPECT_EQ(r.guard_spikes_clamped, 0u);
   EXPECT_EQ(r.guard_fields_rejected, 0u);
   EXPECT_EQ(r.solver_fallbacks, 0u);

@@ -198,6 +198,7 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.autoscaler_scale_downs, b.autoscaler_scale_downs);
   EXPECT_EQ(a.bilevel_capacity_overrides, b.bilevel_capacity_overrides);
   EXPECT_EQ(a.bilevel_plans_pushed, b.bilevel_plans_pushed);
+  EXPECT_EQ(a.causality_clamps, b.causality_clamps);
   // Byte-identical latency streams, not just equal summaries.
   ASSERT_EQ(a.e2e.samples().size(), b.e2e.samples().size());
   EXPECT_EQ(a.e2e.samples(), b.e2e.samples());
@@ -385,22 +386,72 @@ TEST(ShardedSimulation, IdentityBilevelArmed) {
 }
 
 TEST(ShardedSimulation, SingleIslandShardedMatchesLegacyExactly) {
-  // One island (a single-cluster scenario collapses the partition): the
-  // sharded engine degenerates to one LP with an infinite window, and the
-  // schedule — including every routing draw — matches the legacy engine
-  // bit for bit.
+  // One island (a zero-latency pair collapses the partition): shards >= 1
+  // degenerates to one LP with an infinite window — the partition
+  // shards == 0 builds — and the schedule, including every routing draw and
+  // every Waterfall load reading, matches bit for bit under every policy.
   TwoClusterChainParams params;
   params.rtt = 0.0;  // zero latency: both clusters share one island
   const Scenario scenario = make_two_cluster_chain_scenario(params);
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  const ExperimentResult legacy = run_experiment(scenario, config);
-  config.shards = 4;
-  const ExperimentResult sharded = run_experiment(scenario, config);
+  for (PolicyKind policy :
+       {PolicyKind::kLocalOnly, PolicyKind::kRoundRobin,
+        PolicyKind::kLocalityFailover, PolicyKind::kStaticWeights,
+        PolicyKind::kWaterfall, PolicyKind::kSlate}) {
+    SCOPED_TRACE(to_string(policy));
+    RunConfig config = gauntlet_config(policy);
+    const ExperimentResult legacy = run_experiment(scenario, config);
+    config.shards = 4;
+    const ExperimentResult sharded = run_experiment(scenario, config);
 
-  Simulation probe(scenario, config);
-  EXPECT_EQ(probe.island_count(), 1u);
-  EXPECT_EQ(probe.lookahead_seconds(), std::numeric_limits<double>::infinity());
-  expect_identical(legacy, sharded);
+    Simulation probe(scenario, config);
+    EXPECT_EQ(probe.island_count(), 1u);
+    EXPECT_EQ(probe.lookahead_seconds(),
+              std::numeric_limits<double>::infinity());
+    expect_identical(legacy, sharded);
+  }
+}
+
+TEST(ShardedSimulation, WaterfallReadsLiveLoadOnOneIsland) {
+  // shards == 0 runs this two-island world on one LP, whose only barriers
+  // are global events. Waterfall schedules none, so a barrier snapshot of
+  // its load meters would read zero all run: West would never look
+  // saturated and nothing would offload (mean latency in the seconds). Read
+  // live, Waterfall offloads and stays in the tens of milliseconds.
+  const Scenario scenario = make_two_cluster_chain_scenario();  // 25ms RTT
+  RunConfig config;
+  config.policy = PolicyKind::kWaterfall;
+  config.duration = 20.0;
+  config.warmup = 5.0;
+  config.seed = 7;
+  config.shards = 1;
+  EXPECT_EQ(Simulation(scenario, config).island_count(), 2u);
+  config.shards = 0;
+  EXPECT_EQ(Simulation(scenario, config).island_count(), 1u);
+  const ExperimentResult r = run_experiment(scenario, config);
+  EXPECT_LT(r.mean_latency(), 0.100);
+}
+
+TEST(ShardedSimulation, CausalityClampsCountedAndDeterministic) {
+  // Cross-island links sped up 10x carry messages whose delivery time falls
+  // under the lookahead floor: the barrier delivers them at the window end
+  // and counts each one. The count is part of the schedule, so it is
+  // identical at every shard count.
+  Scenario scenario = make_gcp_chain_scenario();
+  for (std::size_t c = 1; c < 4; ++c) {
+    scenario.faults.link_degradation(ClusterId{0}, ClusterId{c}, 3.0, 3.0, 0.1);
+    scenario.faults.link_degradation(ClusterId{c}, ClusterId{0}, 3.0, 3.0, 0.1);
+  }
+  const RunConfig config = gauntlet_config(PolicyKind::kSlate);
+  run_gauntlet(scenario, config);
+  RunConfig probe = config;
+  probe.shards = 2;
+  EXPECT_GT(run_experiment(scenario, probe).causality_clamps, 0u);
+  // Fault-free, the latency floor holds and nothing is clamped.
+  EXPECT_EQ(run_experiment(make_gcp_chain_scenario(), probe).causality_clamps,
+            0u);
+  // One island sends nothing across a barrier.
+  probe.shards = 0;
+  EXPECT_EQ(run_experiment(scenario, probe).causality_clamps, 0u);
 }
 
 }  // namespace
