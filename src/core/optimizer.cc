@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "lp/piecewise.h"
-#include "util/strfmt.h"
 
 namespace slate {
 namespace {
@@ -137,11 +136,9 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           // Root arrivals are pinned to the effective demand (entry service
           // serves in the arrival cluster).
           const double d = ctx.eff_demand(k, j);
-          vars.a[k][n][j] =
-              lp.add_variable(d, d, 0.0, strfmt("a[k%zu][n0][c%zu]", k, j));
+          vars.a[k][n][j] = lp.add_variable(d, d, 0.0);
         } else {
-          vars.a[k][n][j] = lp.add_variable(
-              0.0, kLpInfinity, 0.0, strfmt("a[k%zu][n%zu][c%zu]", k, n, j));
+          vars.a[k][n][j] = lp.add_variable(0.0, kLpInfinity, 0.0);
         }
       }
       if (n == 0) continue;
@@ -166,9 +163,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
                 kBytesPerGb;
             coeff += options.cost_weight * dollars_per_call;
           }
-          vars.x[k][n][i * C + j] = lp.add_variable(
-              0.0, kLpInfinity, coeff,
-              strfmt("x[k%zu][n%zu][%zu->%zu]", k, n, i, j));
+          vars.x[k][n][i * C + j] = lp.add_variable(0.0, kLpInfinity, coeff);
         }
       }
     }
@@ -195,13 +190,10 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
                       n_servers / options.server_price_target;
       }
       vars.u[s * C + c] =
-          lp.add_variable(0.0, options.max_utilization, busy_coeff,
-                          strfmt("u[s%zu][c%zu]", s, c));
-      vars.o[s * C + c] =
-          lp.add_variable(0.0, kLpInfinity, busy_coeff + options.overflow_penalty,
-                          strfmt("o[s%zu][c%zu]", s, c));
-      vars.t[s * C + c] = lp.add_variable(0.0, kLpInfinity, n_servers,
-                                          strfmt("t[s%zu][c%zu]", s, c));
+          lp.add_variable(0.0, options.max_utilization, busy_coeff);
+      vars.o[s * C + c] = lp.add_variable(
+          0.0, kLpInfinity, busy_coeff + options.overflow_penalty);
+      vars.t[s * C + c] = lp.add_variable(0.0, kLpInfinity, n_servers);
     }
   }
 
@@ -220,8 +212,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           const int xv = vars.x[k][n][i * C + j];
           if (xv >= 0) terms.push_back({xv, -1.0});
         }
-        lp.add_constraint(std::move(terms), Relation::kEqual, 0.0,
-                          strfmt("inflow[k%zu][n%zu][c%zu]", k, n, j));
+        lp.add_constraint(std::move(terms), Relation::kEqual, 0.0);
       }
 
       // Outflow: sum_j x[k][n][i][j] = mult * a[k][p][i].
@@ -241,8 +232,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           // precludes this, but guard anyway.
           throw std::logic_error("RouteOptimizer: call edge with no candidates");
         }
-        lp.add_constraint(std::move(terms), Relation::kEqual, 0.0,
-                          strfmt("outflow[k%zu][n%zu][c%zu]", k, n, i));
+        lp.add_constraint(std::move(terms), Relation::kEqual, 0.0);
       }
     }
   }
@@ -264,13 +254,11 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           if (av >= 0) terms.push_back({av, st / n_servers});
         }
       }
-      lp.add_constraint(std::move(terms), Relation::kEqual, 0.0,
-                        strfmt("util[s%zu][c%zu]", s, c));
+      lp.add_constraint(std::move(terms), Relation::kEqual, 0.0);
 
       for (const auto& tan : tangents) {
         lp.add_constraint({{vars.t[s * C + c], 1.0}, {uv, -tan.slope}},
-                          Relation::kGreaterEqual, tan.intercept,
-                          strfmt("queue[s%zu][c%zu]", s, c));
+                          Relation::kGreaterEqual, tan.intercept);
       }
     }
   }
@@ -296,8 +284,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
             const int xv = vars.x[k][n][i * C + j];
             if (xv < 0) continue;
             origin_possible = true;
-            const int yv = lp.add_variable(
-                0.0, 1.0, 0.0, strfmt("y[k%zu][n%zu][%zu->%zu]", k, n, i, j));
+            const int yv = lp.add_variable(0.0, 1.0, 0.0);
             lp.set_integer(yv);
             lp.add_constraint({{xv, 1.0}, {yv, -big}}, Relation::kLessEqual, 0.0);
             pick_one.push_back({yv, 1.0});
@@ -324,8 +311,8 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
     solution = solve_lp(lp, options.simplex, &stats, basis);
   }
   result.simplex_stats.iterations += stats.iterations;
-  result.simplex_stats.phase1_rows += stats.phase1_rows;
-  result.simplex_stats.columns += stats.columns;
+  result.simplex_stats.crash_pivots += stats.crash_pivots;
+  result.simplex_stats.warm_failed += stats.warm_failed;
   ++result.solve_groups;
   if (stats.warm_started) ++result.warm_groups;
   if (!solution.ok()) return solution.status;
@@ -534,6 +521,8 @@ OptimizerResult RouteOptimizer::optimize(
   if (cache != nullptr) {
     cache->warm_group_solves += result.warm_groups;
     cache->cold_group_solves += result.solve_groups - result.warm_groups;
+    cache->crash_pivots += result.simplex_stats.crash_pivots;
+    cache->warm_failed += result.simplex_stats.warm_failed;
   }
   result.warm_started =
       result.solve_groups > 0 && result.warm_groups == result.solve_groups;

@@ -130,6 +130,10 @@ struct OptimizerCache {
   std::uint64_t memo_hits = 0;
   std::uint64_t warm_group_solves = 0;
   std::uint64_t cold_group_solves = 0;
+  // Summed SimplexStats of the same name: basis warm starts that fell back
+  // to a cold solve, and the crash pivots spent on every warm attempt.
+  std::uint64_t warm_failed = 0;
+  std::uint64_t crash_pivots = 0;
 };
 
 class RouteOptimizer {

@@ -6,8 +6,7 @@
 
 namespace slate {
 
-int LpModel::add_variable(double lower, double upper, double objective,
-                          std::string name) {
+int LpModel::add_variable(double lower, double upper, double objective) {
   if (lower > upper) {
     throw std::invalid_argument("LpModel: inverted variable bounds");
   }
@@ -15,7 +14,6 @@ int LpModel::add_variable(double lower, double upper, double objective,
   upper_.push_back(upper);
   objective_.push_back(objective);
   integer_.push_back(0);
-  names_.push_back(std::move(name));
   return static_cast<int>(lower_.size()) - 1;
 }
 
@@ -23,12 +21,8 @@ void LpModel::set_integer(int var, bool integer) {
   integer_.at(var) = integer ? 1 : 0;
 }
 
-void LpModel::set_objective_coefficient(int var, double coeff) {
-  objective_.at(var) = coeff;
-}
-
 int LpModel::add_constraint(std::vector<LinearTerm> terms, Relation rel,
-                            double rhs, std::string name) {
+                            double rhs) {
   // Merge duplicate variables and drop zero coefficients so the simplex
   // sees a clean row.
   std::sort(terms.begin(), terms.end(),
@@ -46,7 +40,7 @@ int LpModel::add_constraint(std::vector<LinearTerm> terms, Relation rel,
     }
   }
   std::erase_if(merged, [](const LinearTerm& t) { return t.coeff == 0.0; });
-  rows_.push_back(Row{std::move(merged), rel, rhs, std::move(name)});
+  rows_.push_back(Row{std::move(merged), rel, rhs});
   return static_cast<int>(rows_.size()) - 1;
 }
 

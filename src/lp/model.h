@@ -8,7 +8,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace slate {
@@ -28,20 +27,17 @@ class LpModel {
  public:
   // Adds a variable with bounds [lower, upper] and objective coefficient
   // `objective`. Returns its index. `lower` may be -inf, `upper` +inf.
-  int add_variable(double lower, double upper, double objective,
-                   std::string name = {});
+  int add_variable(double lower, double upper, double objective);
 
   // Marks a variable as integral (for the MILP solver; the LP relaxation
   // ignores the flag).
   void set_integer(int var, bool integer = true);
 
-  void set_objective_coefficient(int var, double coeff);
   void set_objective_sense(ObjectiveSense sense) noexcept { sense_ = sense; }
 
   // Adds `terms` (rel) `rhs`. Terms with duplicate variables are summed.
   // Returns the constraint index.
-  int add_constraint(std::vector<LinearTerm> terms, Relation rel, double rhs,
-                     std::string name = {});
+  int add_constraint(std::vector<LinearTerm> terms, Relation rel, double rhs);
 
   [[nodiscard]] int variable_count() const noexcept {
     return static_cast<int>(lower_.size());
@@ -55,15 +51,12 @@ class LpModel {
   [[nodiscard]] double objective_coefficient(int var) const { return objective_.at(var); }
   [[nodiscard]] bool is_integer(int var) const { return integer_.at(var) != 0; }
   [[nodiscard]] ObjectiveSense objective_sense() const noexcept { return sense_; }
-  [[nodiscard]] const std::string& variable_name(int var) const { return names_.at(var); }
 
   struct Row {
     std::vector<LinearTerm> terms;
     Relation rel = Relation::kLessEqual;
     double rhs = 0.0;
-    std::string name;
   };
-  [[nodiscard]] const Row& row(int i) const { return rows_.at(i); }
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
 
   // Tightens a variable's bounds (used by branch & bound). Throws if the
@@ -82,7 +75,6 @@ class LpModel {
   std::vector<double> upper_;
   std::vector<double> objective_;
   std::vector<char> integer_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
   ObjectiveSense sense_ = ObjectiveSense::kMinimize;
 };

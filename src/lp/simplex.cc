@@ -15,12 +15,17 @@ struct ColumnMap {
   double sign = 1.0;
 };
 
+// The model rewritten into "all variables >= 0, rhs >= 0" form. Constraint
+// coefficients stay in the model's sparse rows; this records how they map
+// into the tableau. Tableau rows are the model's rows in order, then one
+// `x <= bound` row per structural column with a finite upper bound.
 struct Transformed {
-  // Dense constraint matrix rows (structural columns only) and rhs, already
-  // normalized to rhs >= 0.
-  std::vector<std::vector<double>> a;
-  std::vector<double> rhs;
-  std::vector<Relation> rel;
+  std::vector<double> rhs;     // per tableau row, normalized to >= 0
+  std::vector<Relation> rel;   // per tableau row, after normalization
+  std::vector<char> negated;   // per tableau row: coefficients sign-flipped
+  std::vector<int> bound_col;  // structural column of each upper-bound row
+  std::vector<int> first_col;   // per model variable
+  std::vector<int> second_col;  // per model variable; -1 unless split free
   // Phase-2 objective over structural columns (minimization) + constant.
   std::vector<double> cost;
   double cost_constant = 0.0;
@@ -29,7 +34,6 @@ struct Transformed {
   bool flip_objective = false;  // true when the model maximizes
 };
 
-// Rewrites the model into "all variables >= 0, rhs >= 0" form.
 Transformed transform(const LpModel& model) {
   Transformed t;
   const int n = model.variable_count();
@@ -37,28 +41,26 @@ Transformed transform(const LpModel& model) {
   t.flip_objective = model.objective_sense() == ObjectiveSense::kMaximize;
 
   // Column plan per model variable.
-  std::vector<int> first_col(n, -1);
-  std::vector<int> second_col(n, -1);  // for free-variable splits
-  std::vector<double> extra_upper;     // finite upper bound rows, per column
+  t.first_col.assign(n, -1);
+  t.second_col.assign(n, -1);
+  std::vector<double> extra_upper;  // finite upper bound rows, per column
   for (int j = 0; j < n; ++j) {
     const double lo = model.lower_bound(j);
     const double hi = model.upper_bound(j);
+    t.first_col[j] = static_cast<int>(t.columns.size());
     if (lo == -kLpInfinity && hi == kLpInfinity) {
-      first_col[j] = static_cast<int>(t.columns.size());
       t.columns.push_back({j, 1.0});
       extra_upper.push_back(kLpInfinity);
-      second_col[j] = static_cast<int>(t.columns.size());
+      t.second_col[j] = static_cast<int>(t.columns.size());
       t.columns.push_back({j, -1.0});
       extra_upper.push_back(kLpInfinity);
     } else if (lo == -kLpInfinity) {
       // x = hi - x^, x^ >= 0.
-      first_col[j] = static_cast<int>(t.columns.size());
       t.columns.push_back({j, -1.0});
       extra_upper.push_back(kLpInfinity);
       t.offsets[j] = hi;
     } else {
       // x = lo + x^, x^ in [0, hi - lo].
-      first_col[j] = static_cast<int>(t.columns.size());
       t.columns.push_back({j, 1.0});
       extra_upper.push_back(hi == kLpInfinity ? kLpInfinity : hi - lo);
       t.offsets[j] = lo;
@@ -72,44 +74,33 @@ Transformed transform(const LpModel& model) {
     double c = model.objective_coefficient(j);
     if (t.flip_objective) c = -c;
     t.cost_constant += c * t.offsets[j];
-    t.cost[first_col[j]] += c * t.columns[first_col[j]].sign;
-    if (second_col[j] >= 0) t.cost[second_col[j]] += c * t.columns[second_col[j]].sign;
+    t.cost[t.first_col[j]] += c * t.columns[t.first_col[j]].sign;
+    if (t.second_col[j] >= 0) {
+      t.cost[t.second_col[j]] += c * t.columns[t.second_col[j]].sign;
+    }
   }
 
-  auto add_row = [&](std::vector<double> row, Relation rel, double rhs) {
-    if (rhs < 0.0) {
-      for (double& v : row) v = -v;
+  auto add_row = [&](Relation rel, double rhs) {
+    const bool negate = rhs < 0.0;
+    if (negate) {
       rhs = -rhs;
       rel = rel == Relation::kLessEqual    ? Relation::kGreaterEqual
             : rel == Relation::kGreaterEqual ? Relation::kLessEqual
                                              : Relation::kEqual;
     }
-    t.a.push_back(std::move(row));
     t.rhs.push_back(rhs);
     t.rel.push_back(rel);
+    t.negated.push_back(negate ? 1 : 0);
   };
-
-  // Model constraints.
   for (const auto& row : model.rows()) {
-    std::vector<double> dense(cols, 0.0);
     double rhs = row.rhs;
-    for (const auto& term : row.terms) {
-      rhs -= term.coeff * t.offsets[term.var];
-      dense[first_col[term.var]] += term.coeff * t.columns[first_col[term.var]].sign;
-      if (second_col[term.var] >= 0) {
-        dense[second_col[term.var]] +=
-            term.coeff * t.columns[second_col[term.var]].sign;
-      }
-    }
-    add_row(std::move(dense), row.rel, rhs);
+    for (const auto& term : row.terms) rhs -= term.coeff * t.offsets[term.var];
+    add_row(row.rel, rhs);
   }
-
-  // Finite upper bounds as explicit rows.
   for (int c = 0; c < cols; ++c) {
     if (extra_upper[c] != kLpInfinity) {
-      std::vector<double> dense(cols, 0.0);
-      dense[c] = 1.0;
-      add_row(std::move(dense), Relation::kLessEqual, extra_upper[c]);
+      t.bound_col.push_back(c);
+      add_row(Relation::kLessEqual, extra_upper[c]);
     }
   }
   return t;
@@ -125,44 +116,67 @@ std::uint64_t layout_signature(const Transformed& t) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(t.a.size());
+  mix(t.rhs.size());
   mix(t.columns.size());
   for (const Relation r : t.rel) mix(static_cast<std::uint64_t>(r) + 17);
   return h;
 }
 
-// Dense tableau with explicit basis bookkeeping.
+// Row-major tableau in one buffer (row i at a_[i * stride_], rhs last) with
+// explicit basis bookkeeping. `model` and `t` must outlive it.
 class Tableau {
  public:
-  Tableau(const Transformed& t, const SimplexOptions& options)
-      : options_(options), structural_cols_(static_cast<int>(t.columns.size())) {
-    const int m = static_cast<int>(t.a.size());
+  Tableau(const LpModel& model, const Transformed& t,
+          const SimplexOptions& options)
+      : model_(model),
+        t_(t),
+        options_(options),
+        structural_cols_(static_cast<int>(t.columns.size())),
+        m_(static_cast<int>(t.rhs.size())) {
     // Column layout: [structural | slack/surplus | artificial], then rhs.
     int slack_count = 0;
-    for (Relation r : t.rel) {
-      if (r != Relation::kEqual) ++slack_count;
-    }
     int artificial_count = 0;
-    for (std::size_t i = 0; i < t.rel.size(); ++i) {
-      if (t.rel[i] != Relation::kLessEqual) ++artificial_count;
+    for (const Relation r : t.rel) {
+      if (r != Relation::kEqual) ++slack_count;
+      if (r != Relation::kLessEqual) ++artificial_count;
     }
     total_cols_ = structural_cols_ + slack_count + artificial_count;
     first_artificial_ = structural_cols_ + slack_count;
+    stride_ = static_cast<std::size_t>(total_cols_) + 1;
+    reset();
+  }
 
-    rows_.assign(m, std::vector<double>(total_cols_ + 1, 0.0));
-    basis_.assign(m, -1);
+  // (Re)fills the buffer with the starting tableau: each model row's sparse
+  // terms scattered into its columns, slacks and artificials forming the
+  // initial basis. A failed warm start calls this to cold-solve in place.
+  void reset() {
+    a_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
     // pivot() maintains the objective row unconditionally; warm-start
     // reconstruction pivots before any build_objective call, so the row
-    // must exist (as zeros) from construction.
-    obj_.assign(total_cols_ + 1, 0.0);
+    // must exist (as zeros) from the start.
+    obj_.assign(stride_, 0.0);
+    basis_.assign(m_, -1);
+    artificials_disabled_ = false;
 
+    const std::vector<LpModel::Row>& rows = model_.rows();
     int next_slack = structural_cols_;
     int next_artificial = first_artificial_;
-    for (int i = 0; i < m; ++i) {
-      auto& row = rows_[i];
-      std::copy(t.a[i].begin(), t.a[i].end(), row.begin());
-      row[total_cols_] = t.rhs[i];
-      switch (t.rel[i]) {
+    for (int i = 0; i < m_; ++i) {
+      double* row = row_at(i);
+      const bool neg = t_.negated[i] != 0;
+      if (i < static_cast<int>(rows.size())) {
+        for (const LinearTerm& term : rows[i].terms) {
+          for (const int c : {t_.first_col[term.var], t_.second_col[term.var]}) {
+            if (c < 0) continue;
+            const double v = term.coeff * t_.columns[c].sign;
+            row[c] = neg ? -v : v;
+          }
+        }
+      } else {
+        row[t_.bound_col[i - rows.size()]] = neg ? -1.0 : 1.0;
+      }
+      row[total_cols_] = t_.rhs[i];
+      switch (t_.rel[i]) {
         case Relation::kLessEqual:
           row[next_slack] = 1.0;
           basis_[i] = next_slack++;
@@ -203,7 +217,6 @@ class Tableau {
   LpStatus solve_phase2(const std::vector<double>& cost,
                         std::vector<double>& solution, double& objective,
                         SimplexStats* stats) {
-    const int m = static_cast<int>(rows_.size());
     std::vector<double> full_cost(total_cols_, 0.0);
     std::copy(cost.begin(), cost.end(), full_cost.begin());
     build_objective(full_cost);
@@ -211,9 +224,9 @@ class Tableau {
     if (s2 != LpStatus::kOptimal) return s2;
 
     solution.assign(structural_cols_, 0.0);
-    for (int i = 0; i < m; ++i) {
+    for (int i = 0; i < m_; ++i) {
       if (basis_[i] >= 0 && basis_[i] < structural_cols_) {
-        solution[basis_[i]] = rows_[i][total_cols_];
+        solution[basis_[i]] = row_at(i)[total_cols_];
       }
     }
     objective = objective_value();
@@ -221,13 +234,11 @@ class Tableau {
   }
 
   // Installs `target` (a previous solve's basis) by crash pivots, skipping
-  // phase 1 entirely. Returns false — leaving the tableau unusable, the
-  // caller must cold-solve a fresh one — when the basis does not fit this
-  // tableau or does not reach a primal-feasible point (demand moved too far
-  // since the basis was cut).
-  bool try_warm(const std::vector<int>& target) {
-    const int m = static_cast<int>(rows_.size());
-    if (static_cast<int>(target.size()) != m) return false;
+  // phase 1 entirely. Returns false — leaving the tableau unusable until
+  // reset() — when the basis does not fit this tableau or does not reach a
+  // primal-feasible point (demand moved too far since the basis was cut).
+  bool try_warm(const std::vector<int>& target, SimplexStats* stats) {
+    if (static_cast<int>(target.size()) != m_) return false;
     std::vector<char> in_target(total_cols_, 0);
     for (const int c : target) {
       if (c < 0 || c >= total_cols_ || in_target[c] != 0) return false;
@@ -235,16 +246,16 @@ class Tableau {
     }
     std::vector<char> is_basic(total_cols_, 0);
     for (const int c : basis_) is_basic[c] = 1;
-    for (int r = 0; r < m; ++r) {
+    for (int r = 0; r < m_; ++r) {
       const int c = target[r];
       if (is_basic[c] != 0) continue;  // initial slack that stays basic
       // Bring column c into the basis against a row whose current basic
       // column is not wanted, preferring the largest pivot for stability.
       int pivot_row = -1;
       double best = 1e-7;
-      for (int i = 0; i < m; ++i) {
+      for (int i = 0; i < m_; ++i) {
         if (in_target[basis_[i]] != 0) continue;
-        const double a = std::abs(rows_[i][c]);
+        const double a = std::abs(row_at(i)[c]);
         if (a > best) {
           best = a;
           pivot_row = i;
@@ -253,13 +264,14 @@ class Tableau {
       if (pivot_row < 0) return false;  // numerically dependent: cold-solve
       is_basic[basis_[pivot_row]] = 0;
       pivot(pivot_row, c);
+      if (stats != nullptr) ++stats->crash_pivots;
       is_basic[c] = 1;
     }
     // Primal feasibility at the reconstructed basis: nonnegative rhs (tiny
     // negative rounding dust is clamped), and no artificial basic above
     // noise level.
-    for (int i = 0; i < m; ++i) {
-      double& rhs = rows_[i][total_cols_];
+    for (int i = 0; i < m_; ++i) {
+      double& rhs = row_at(i)[total_cols_];
       if (rhs < 0.0) {
         if (rhs < -1e-7) return false;
         rhs = 0.0;
@@ -275,17 +287,20 @@ class Tableau {
   }
 
  private:
+  [[nodiscard]] double* row_at(int i) noexcept {
+    return a_.data() + static_cast<std::size_t>(i) * stride_;
+  }
+
   // Rebuilds the reduced-cost row for the given column costs, pricing out
   // the current basis.
   void build_objective(const std::vector<double>& cost) {
-    current_cost_ = cost;
-    obj_.assign(total_cols_ + 1, 0.0);
-    for (int c = 0; c < total_cols_; ++c) obj_[c] = cost[c];
+    std::copy(cost.begin(), cost.end(), obj_.begin());
     obj_[total_cols_] = 0.0;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
+    for (int i = 0; i < m_; ++i) {
       const double cb = cost[basis_[i]];
       if (cb == 0.0) continue;
-      for (int c = 0; c <= total_cols_; ++c) obj_[c] -= cb * rows_[i][c];
+      const double* row = row_at(i);
+      for (int c = 0; c <= total_cols_; ++c) obj_[c] -= cb * row[c];
     }
   }
 
@@ -294,29 +309,26 @@ class Tableau {
   // After phase 1: pivot lingering artificials out of the basis or drop
   // their (redundant) rows, then forbid artificial columns.
   void purge_artificials() {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
+    for (int i = 0; i < m_; ++i) {
       if (basis_[i] < first_artificial_) continue;
       // Find any usable non-artificial pivot in this row.
+      double* row = row_at(i);
       int pivot_col = -1;
       for (int c = 0; c < first_artificial_; ++c) {
-        if (std::abs(rows_[i][c]) > 1e-9 && !disabled_col(c)) {
+        if (std::abs(row[c]) > 1e-9) {
           pivot_col = c;
           break;
         }
       }
       if (pivot_col >= 0) {
-        pivot(static_cast<int>(i), pivot_col);
+        pivot(i, pivot_col);
       } else {
-        // Redundant row: zero it so it can never constrain anything.
-        std::fill(rows_[i].begin(), rows_[i].end(), 0.0);
-        // Keep the artificial basic at value 0 in a dead row.
+        // Redundant row: zero it so it can never constrain anything. The
+        // artificial stays basic at value 0 in a dead row.
+        std::fill(row, row + stride_, 0.0);
       }
     }
     artificials_disabled_ = true;
-  }
-
-  [[nodiscard]] bool disabled_col(int c) const {
-    return artificials_disabled_ && c >= first_artificial_;
   }
 
   LpStatus iterate(SimplexStats* stats) {
@@ -348,15 +360,16 @@ class Tableau {
       // Ratio test.
       int leaving = -1;
       double best_ratio = kLpInfinity;
-      for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const double a = rows_[i][entering];
+      for (int i = 0; i < m_; ++i) {
+        const double* row = row_at(i);
+        const double a = row[entering];
         if (a > tol) {
-          const double ratio = rows_[i][total_cols_] / a;
+          const double ratio = row[total_cols_] / a;
           if (ratio < best_ratio - tol ||
               (ratio < best_ratio + tol && leaving >= 0 &&
                basis_[i] < basis_[leaving])) {
             best_ratio = ratio;
-            leaving = static_cast<int>(i);
+            leaving = i;
           }
         }
       }
@@ -366,36 +379,47 @@ class Tableau {
     return LpStatus::kIterationLimit;
   }
 
+  // Gauss-Jordan pivot touching only the pivot row's nonzero columns: a
+  // zero there leaves every other row's entry in that column unchanged, so
+  // skipping it reproduces the dense update bit for bit. Artificial columns
+  // drop out once disabled — nothing reads them after that.
   void pivot(int row, int col) {
-    auto& pivot_row = rows_[row];
-    const double p = pivot_row[col];
-    for (double& v : pivot_row) v /= p;
-    pivot_row[col] = 1.0;  // kill rounding residue on the pivot itself
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (static_cast<int>(i) == row) continue;
-      const double factor = rows_[i][col];
-      if (factor == 0.0) continue;
-      auto& r = rows_[i];
-      for (int c = 0; c <= total_cols_; ++c) r[c] -= factor * pivot_row[c];
+    double* prow = row_at(row);
+    const double p = prow[col];
+    const int live_end = artificials_disabled_ ? first_artificial_ : total_cols_;
+    nonzeros_.clear();
+    for (int c = 0; c <= total_cols_; ++c) {
+      if ((c >= live_end && c < total_cols_) || prow[c] == 0.0) continue;
+      prow[c] /= p;
+      if (prow[c] != 0.0) nonzeros_.push_back(c);
+    }
+    prow[col] = 1.0;  // kill rounding residue on the pivot itself
+    auto eliminate = [&](double* r) {
+      const double factor = r[col];
+      if (factor == 0.0) return;
+      for (const int c : nonzeros_) r[c] -= factor * prow[c];
       r[col] = 0.0;
+    };
+    for (int i = 0; i < m_; ++i) {
+      if (i != row) eliminate(row_at(i));
     }
-    const double obj_factor = obj_[col];
-    if (obj_factor != 0.0) {
-      for (int c = 0; c <= total_cols_; ++c) obj_[c] -= obj_factor * pivot_row[c];
-      obj_[col] = 0.0;
-    }
+    eliminate(obj_.data());
     basis_[row] = col;
   }
 
+  const LpModel& model_;
+  const Transformed& t_;
   SimplexOptions options_;
   int structural_cols_;
+  int m_;
   int total_cols_ = 0;
   int first_artificial_ = 0;
+  std::size_t stride_ = 1;
   bool artificials_disabled_ = false;
-  std::vector<std::vector<double>> rows_;
+  std::vector<double> a_;
   std::vector<double> obj_;
-  std::vector<double> current_cost_;
   std::vector<int> basis_;
+  std::vector<int> nonzeros_;  // pivot(): columns where the pivot row is nonzero
 };
 
 }  // namespace
@@ -405,37 +429,30 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
   LpSolution result;
   const Transformed t = transform(model);
   const std::uint64_t signature = layout_signature(t);
-  if (stats != nullptr) {
-    stats->phase1_rows = static_cast<int>(t.a.size());
-    stats->columns = static_cast<int>(t.columns.size());
-  }
 
   std::vector<double> columns;
   double objective = 0.0;
-  bool solved = false;
-
-  if (warm != nullptr && warm->valid() && warm->signature == signature) {
-    Tableau tableau(t, options);
-    if (tableau.try_warm(warm->basis) &&
-        tableau.solve_phase2(t.cost, columns, objective, stats) ==
-            LpStatus::kOptimal) {
-      result.status = LpStatus::kOptimal;
-      solved = true;
-      warm->basis = tableau.basis();
-      if (stats != nullptr) stats->warm_started = true;
+  Tableau tableau(model, t, options);
+  const bool try_basis =
+      warm != nullptr && warm->valid() && warm->signature == signature;
+  if (try_basis && tableau.try_warm(warm->basis, stats) &&
+      tableau.solve_phase2(t.cost, columns, objective, stats) ==
+          LpStatus::kOptimal) {
+    if (stats != nullptr) stats->warm_started = true;
+  } else {
+    if (try_basis) {
+      // A reconstruction that went sideways must not degrade the answer,
+      // only the speed: start over from the slack/artificial basis.
+      if (stats != nullptr) ++stats->warm_failed;
+      tableau.reset();
     }
-    // Any warm failure falls through: a reconstruction that went sideways
-    // must not degrade the answer, only the speed.
-  }
-
-  if (!solved) {
-    Tableau tableau(t, options);
     result.status = tableau.solve(t.cost, columns, objective, stats);
     if (result.status != LpStatus::kOptimal) return result;
-    if (warm != nullptr) {
-      warm->signature = signature;
-      warm->basis = tableau.basis();
-    }
+  }
+  result.status = LpStatus::kOptimal;
+  if (warm != nullptr) {
+    warm->signature = signature;
+    warm->basis = tableau.basis();
   }
 
   // Map structural columns back to model variables.

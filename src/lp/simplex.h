@@ -1,15 +1,18 @@
 // Two-phase primal simplex for LpModel (LP relaxation: integrality ignored).
 //
-// Dense tableau implementation. Bounded variables are handled by
-// substitution (lower bounds shifted to zero, finite upper bounds become
-// explicit rows, free variables split); phase 1 minimizes artificial
-// infeasibility, phase 2 the user objective. The entering rule is
-// most-negative reduced cost, switching to Bland's rule after a fixed number
-// of iterations to guarantee termination on degenerate problems.
+// Bounded variables are handled by substitution (lower bounds shifted to
+// zero, finite upper bounds become explicit rows, free variables split);
+// phase 1 minimizes artificial infeasibility, phase 2 the user objective.
+// The entering rule is most-negative reduced cost, switching to Bland's
+// rule after a fixed number of iterations to guarantee termination on
+// degenerate problems.
 //
-// Problem sizes in SLATE are modest (hundreds to a few thousand variables),
-// where a dense tableau is simple, cache-friendly, and fast enough; see
-// bench/micro_optimizer_scaling for measured solve times.
+// The tableau is one row-major buffer per solve_lp call, filled from the
+// model's sparse rows (a failed warm start refills it for the cold solve).
+// A pivot updates the other rows only at the pivot row's nonzero columns,
+// and artificial columns drop out after phase 1. Only exact zeros are
+// skipped, so the pivot sequence and every result bit match a dense
+// tableau that updates every column.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +31,13 @@ struct SimplexOptions {
 
 struct SimplexStats {
   std::uint64_t iterations = 0;
-  int phase1_rows = 0;
-  int columns = 0;
   // True when the solve skipped phase 1 by reusing a caller-supplied basis.
   bool warm_started = false;
+  // Pivots spent installing a caller-supplied basis, whether or not the
+  // warm start then succeeded (not counted in `iterations`), and warm
+  // starts that failed into a cold solve.
+  std::uint64_t crash_pivots = 0;
+  std::uint64_t warm_failed = 0;
 };
 
 // An optimal basis exported by a previous solve, reusable as a warm start

@@ -1608,6 +1608,10 @@ ExperimentResult Simulation::run() {
     result_.solver_arm_ripup = st.ripup;
     result_.solver_arm_split = st.split;
     result_.solver_arm_hold = st.hold;
+    const OptimizerCache& cache = global_->optimizer_cache();
+    result_.solver_warm_groups = cache.warm_group_solves;
+    result_.solver_warm_failed = cache.warm_failed;
+    result_.solver_crash_pivots = cache.crash_pivots;
     if (const DemandForecaster* f = global_->forecaster()) {
       result_.forecast_mean_smape = f->mean_smape();
       result_.forecast_mean_confidence = f->mean_confidence();

@@ -3,7 +3,10 @@
 // piecewise-linear convexifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "lp/branch_and_bound.h"
 #include "lp/model.h"
@@ -20,8 +23,8 @@ TEST(Simplex, SimpleMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18; optimum (2, 6) -> 36.
   LpModel lp;
   lp.set_objective_sense(ObjectiveSense::kMaximize);
-  const int x = lp.add_variable(0, kLpInfinity, 3.0, "x");
-  const int y = lp.add_variable(0, kLpInfinity, 5.0, "y");
+  const int x = lp.add_variable(0, kLpInfinity, 3.0);
+  const int y = lp.add_variable(0, kLpInfinity, 5.0);
   lp.add_constraint({{x, 1.0}}, Relation::kLessEqual, 4.0);
   lp.add_constraint({{y, 2.0}}, Relation::kLessEqual, 12.0);
   lp.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEqual, 18.0);
@@ -35,8 +38,8 @@ TEST(Simplex, SimpleMaximization) {
 TEST(Simplex, MinimizationWithGreaterEqual) {
   // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3; optimum (7, 3) -> 23.
   LpModel lp;
-  const int x = lp.add_variable(2.0, kLpInfinity, 2.0, "x");
-  const int y = lp.add_variable(3.0, kLpInfinity, 3.0, "y");
+  const int x = lp.add_variable(2.0, kLpInfinity, 2.0);
+  const int y = lp.add_variable(3.0, kLpInfinity, 3.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kGreaterEqual, 10.0);
   const LpSolution sol = solve_lp(lp);
   ASSERT_TRUE(sol.ok());
@@ -48,8 +51,8 @@ TEST(Simplex, MinimizationWithGreaterEqual) {
 TEST(Simplex, EqualityConstraint) {
   // min x + 2y s.t. x + y = 5, x <= 3; optimum (3, 2) -> 7.
   LpModel lp;
-  const int x = lp.add_variable(0, 3.0, 1.0, "x");
-  const int y = lp.add_variable(0, kLpInfinity, 2.0, "y");
+  const int x = lp.add_variable(0, 3.0, 1.0);
+  const int y = lp.add_variable(0, kLpInfinity, 2.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEqual, 5.0);
   const LpSolution sol = solve_lp(lp);
   ASSERT_TRUE(sol.ok());
@@ -58,7 +61,7 @@ TEST(Simplex, EqualityConstraint) {
 
 TEST(Simplex, Infeasible) {
   LpModel lp;
-  const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
+  const int x = lp.add_variable(0, kLpInfinity, 1.0);
   lp.add_constraint({{x, 1.0}}, Relation::kLessEqual, 1.0);
   lp.add_constraint({{x, 1.0}}, Relation::kGreaterEqual, 2.0);
   EXPECT_EQ(solve_lp(lp).status, LpStatus::kInfeasible);
@@ -67,7 +70,7 @@ TEST(Simplex, Infeasible) {
 TEST(Simplex, Unbounded) {
   LpModel lp;
   lp.set_objective_sense(ObjectiveSense::kMaximize);
-  const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
+  const int x = lp.add_variable(0, kLpInfinity, 1.0);
   lp.add_constraint({{x, 1.0}}, Relation::kGreaterEqual, 1.0);
   EXPECT_EQ(solve_lp(lp).status, LpStatus::kUnbounded);
 }
@@ -75,7 +78,7 @@ TEST(Simplex, Unbounded) {
 TEST(Simplex, NegativeRhsNormalization) {
   // min x s.t. -x <= -4  (i.e. x >= 4).
   LpModel lp;
-  const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
+  const int x = lp.add_variable(0, kLpInfinity, 1.0);
   lp.add_constraint({{x, -1.0}}, Relation::kLessEqual, -4.0);
   const LpSolution sol = solve_lp(lp);
   ASSERT_TRUE(sol.ok());
@@ -85,8 +88,8 @@ TEST(Simplex, NegativeRhsNormalization) {
 TEST(Simplex, FreeVariable) {
   // min |shape|: min y s.t. y >= x - 2, y >= 2 - x with free x: optimum 0.
   LpModel lp;
-  const int x = lp.add_variable(-kLpInfinity, kLpInfinity, 0.0, "x");
-  const int y = lp.add_variable(-kLpInfinity, kLpInfinity, 1.0, "y");
+  const int x = lp.add_variable(-kLpInfinity, kLpInfinity, 0.0);
+  const int y = lp.add_variable(-kLpInfinity, kLpInfinity, 1.0);
   lp.add_constraint({{y, 1.0}, {x, -1.0}}, Relation::kGreaterEqual, -2.0);
   lp.add_constraint({{y, 1.0}, {x, 1.0}}, Relation::kGreaterEqual, 2.0);
   const LpSolution sol = solve_lp(lp);
@@ -98,7 +101,7 @@ TEST(Simplex, FreeVariable) {
 TEST(Simplex, NegativeLowerBound) {
   // min x with x in [-5, 5] -> -5.
   LpModel lp;
-  const int x = lp.add_variable(-5.0, 5.0, 1.0, "x");
+  const int x = lp.add_variable(-5.0, 5.0, 1.0);
   lp.add_constraint({{x, 1.0}}, Relation::kLessEqual, 100.0);
   const LpSolution sol = solve_lp(lp);
   ASSERT_TRUE(sol.ok());
@@ -109,7 +112,7 @@ TEST(Simplex, UpperBoundOnlyVariable) {
   // max x with x <= 7 as a bound, no rows.
   LpModel lp;
   lp.set_objective_sense(ObjectiveSense::kMaximize);
-  const int x = lp.add_variable(0.0, 7.0, 1.0, "x");
+  const int x = lp.add_variable(0.0, 7.0, 1.0);
   const LpSolution sol = solve_lp(lp);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol.values[x], 7.0, 1e-7);
@@ -119,10 +122,10 @@ TEST(Simplex, DegenerateCycleGuard) {
   // Beale's classic cycling example (with Bland fallback it must terminate).
   LpModel lp;
   lp.set_objective_sense(ObjectiveSense::kMinimize);
-  const int x1 = lp.add_variable(0, kLpInfinity, -0.75, "x1");
-  const int x2 = lp.add_variable(0, kLpInfinity, 150.0, "x2");
-  const int x3 = lp.add_variable(0, kLpInfinity, -0.02, "x3");
-  const int x4 = lp.add_variable(0, kLpInfinity, 6.0, "x4");
+  const int x1 = lp.add_variable(0, kLpInfinity, -0.75);
+  const int x2 = lp.add_variable(0, kLpInfinity, 150.0);
+  const int x3 = lp.add_variable(0, kLpInfinity, -0.02);
+  const int x4 = lp.add_variable(0, kLpInfinity, 6.0);
   lp.add_constraint({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
                     Relation::kLessEqual, 0.0);
   lp.add_constraint({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
@@ -136,8 +139,8 @@ TEST(Simplex, DegenerateCycleGuard) {
 TEST(Simplex, RedundantEqualityRows) {
   // Duplicate equality rows exercise the artificial-purge path.
   LpModel lp;
-  const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
-  const int y = lp.add_variable(0, kLpInfinity, 1.0, "y");
+  const int x = lp.add_variable(0, kLpInfinity, 1.0);
+  const int y = lp.add_variable(0, kLpInfinity, 1.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEqual, 4.0);
   lp.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::kEqual, 8.0);  // redundant
   const LpSolution sol = solve_lp(lp);
@@ -147,7 +150,7 @@ TEST(Simplex, RedundantEqualityRows) {
 
 TEST(Simplex, DuplicateTermsMerged) {
   LpModel lp;
-  const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
+  const int x = lp.add_variable(0, kLpInfinity, 1.0);
   // x + x <= 6 -> x <= 3 after merging.
   lp.add_constraint({{x, 1.0}, {x, 1.0}}, Relation::kLessEqual, 6.0);
   lp.set_objective_sense(ObjectiveSense::kMaximize);
@@ -159,8 +162,8 @@ TEST(Simplex, DuplicateTermsMerged) {
 TEST(Simplex, BlandFromTheStartStillSolves) {
   LpModel lp;
   lp.set_objective_sense(ObjectiveSense::kMaximize);
-  const int x = lp.add_variable(0, kLpInfinity, 3.0, "x");
-  const int y = lp.add_variable(0, kLpInfinity, 5.0, "y");
+  const int x = lp.add_variable(0, kLpInfinity, 3.0);
+  const int y = lp.add_variable(0, kLpInfinity, 5.0);
   lp.add_constraint({{x, 1.0}}, Relation::kLessEqual, 4.0);
   lp.add_constraint({{y, 2.0}}, Relation::kLessEqual, 12.0);
   lp.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEqual, 18.0);
@@ -272,6 +275,199 @@ TEST_P(RandomEqualityLpTest, SolvesAndRespectsEqualities) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomEqualityLpTest, ::testing::Range(0, 25));
+
+// --- Differential check against brute force ----------------------------------
+
+int uniform_int(Rng& rng, int lo, int hi) {
+  const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+  return lo + static_cast<int>(rng.uniform_u64(span));
+}
+
+// Best objective (minimization sense) over the vertices of the model's region
+// clipped to |x_j| <= box, or +inf when the clipped region is empty. Every
+// vertex is the solution of n linearly independent constraints held tight,
+// and a nonempty bounded polyhedron has one, so enumerating all n-subsets of
+// rows and bound planes finds the optimum.
+double best_vertex(const LpModel& lp, double box) {
+  const int n = lp.variable_count();
+  std::vector<std::vector<double>> planes;  // n coefficients, then the rhs
+  for (const auto& row : lp.rows()) {
+    std::vector<double> p(n + 1, 0.0);
+    for (const auto& t : row.terms) p[t.var] = t.coeff;
+    p[n] = row.rhs;
+    planes.push_back(std::move(p));
+  }
+  std::vector<double> lo(n), hi(n);
+  for (int j = 0; j < n; ++j) {
+    lo[j] = std::max(lp.lower_bound(j), -box);
+    hi[j] = std::min(lp.upper_bound(j), box);
+    for (const double v : {lo[j], hi[j]}) {
+      std::vector<double> p(n + 1, 0.0);
+      p[j] = 1.0;
+      p[n] = v;
+      planes.push_back(std::move(p));
+    }
+  }
+  const double sign =
+      lp.objective_sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
+  double best = kLpInfinity;
+  const int h = static_cast<int>(planes.size());
+  for (std::uint32_t mask = 0; mask < (1u << h); ++mask) {
+    if (std::popcount(mask) != n) continue;
+    // Gaussian elimination with partial pivoting on the chosen planes.
+    std::vector<std::vector<double>> a;
+    for (int p = 0; p < h; ++p) {
+      if ((mask >> p) & 1u) a.push_back(planes[p]);
+    }
+    bool singular = false;
+    for (int c = 0; c < n && !singular; ++c) {
+      int piv = c;
+      for (int r = c + 1; r < n; ++r) {
+        if (std::abs(a[r][c]) > std::abs(a[piv][c])) piv = r;
+      }
+      if (std::abs(a[piv][c]) < 1e-9) {
+        singular = true;
+        break;
+      }
+      std::swap(a[c], a[piv]);
+      for (int r = 0; r < n; ++r) {
+        if (r == c) continue;
+        const double f = a[r][c] / a[c][c];
+        for (int k = c; k <= n; ++k) a[r][k] -= f * a[c][k];
+      }
+    }
+    if (singular) continue;
+    std::vector<double> x(n);
+    for (int j = 0; j < n; ++j) x[j] = a[j][n] / a[j][j];
+    bool inside = lp.is_feasible(x, 1e-7);
+    for (int j = 0; j < n && inside; ++j) {
+      inside = x[j] >= lo[j] - 1e-7 && x[j] <= hi[j] + 1e-7;
+    }
+    if (inside) best = std::min(best, sign * lp.objective_value(x));
+  }
+  return best;
+}
+
+// Status and objective by vertex enumeration. All data are small integers,
+// so every vertex of the unclipped region lies far inside the 1e5 box: an
+// optimum that still moves when the box doubles is unbounded.
+LpSolution brute_force_lp(const LpModel& lp) {
+  LpSolution s;
+  const double near = best_vertex(lp, 1e5);
+  if (near == kLpInfinity) {
+    s.status = LpStatus::kInfeasible;
+  } else if (best_vertex(lp, 2e5) < near - 1.0) {
+    s.status = LpStatus::kUnbounded;
+  } else {
+    s.status = LpStatus::kOptimal;
+    s.objective =
+        lp.objective_sense() == ObjectiveSense::kMaximize ? -near : near;
+  }
+  return s;
+}
+
+// Random bounds of every shape the transform handles: nonnegative, boxed,
+// free, negative lower, upper only, fixed.
+void add_random_variable(LpModel& lp, Rng& rng, bool integer) {
+  const int lo = uniform_int(rng, -3, 2);
+  const int hi = lo + uniform_int(rng, 0, 4);
+  const double c = uniform_int(rng, -3, 3);
+  switch (integer ? 1 : uniform_int(rng, 0, 5)) {
+    case 0: lp.add_variable(0.0, kLpInfinity, c); break;
+    case 1: lp.add_variable(lo, hi, c); break;
+    case 2: lp.add_variable(-kLpInfinity, kLpInfinity, c); break;
+    case 3: lp.add_variable(-1.0 - uniform_int(rng, 0, 3), kLpInfinity, c); break;
+    case 4: lp.add_variable(-kLpInfinity, hi, c); break;
+    default: lp.add_variable(lo, lo, c); break;
+  }
+  if (integer) lp.set_integer(lp.variable_count() - 1);
+}
+
+void add_random_rows(LpModel& lp, Rng& rng, int rows) {
+  const Relation rels[] = {Relation::kLessEqual, Relation::kGreaterEqual,
+                           Relation::kEqual};
+  for (int i = 0; i < rows; ++i) {
+    std::vector<LinearTerm> terms;
+    for (int j = 0; j < lp.variable_count(); ++j) {
+      terms.push_back({j, static_cast<double>(uniform_int(rng, -3, 3))});
+    }
+    // Equalities are rarer so that most draws stay feasible.
+    const Relation rel = rels[uniform_int(rng, 0, 4) % 3];
+    lp.add_constraint(std::move(terms), rel, uniform_int(rng, -6, 6));
+  }
+}
+
+TEST(SimplexDifferential, MatchesVertexEnumeration) {
+  Rng rng(20261017);
+  int outcomes[4] = {};
+  for (int trial = 0; trial < 400; ++trial) {
+    LpModel lp;
+    if (rng.bernoulli(0.5)) lp.set_objective_sense(ObjectiveSense::kMaximize);
+    const int n = uniform_int(rng, 1, 4);
+    for (int j = 0; j < n; ++j) add_random_variable(lp, rng, false);
+    add_random_rows(lp, rng, uniform_int(rng, 0, 5));
+
+    const LpSolution want = brute_force_lp(lp);
+    ++outcomes[static_cast<int>(want.status)];
+    // A cold solve, then a warm re-solve from its own basis: the two paths
+    // the control loop takes every period.
+    SimplexBasis basis;
+    for (const bool warm : {false, true}) {
+      const LpSolution got = solve_lp(lp, {}, nullptr, &basis);
+      ASSERT_EQ(got.status, want.status) << "trial " << trial << " warm " << warm;
+      if (!got.ok()) continue;
+      EXPECT_NEAR(got.objective, want.objective,
+                  1e-6 * std::max(1.0, std::abs(want.objective)))
+          << "trial " << trial << " warm " << warm;
+      EXPECT_TRUE(lp.is_feasible(got.values, 1e-6)) << "trial " << trial;
+    }
+  }
+  // The generator reaches every outcome the brute force can tell apart.
+  EXPECT_GT(outcomes[static_cast<int>(LpStatus::kOptimal)], 100);
+  EXPECT_GT(outcomes[static_cast<int>(LpStatus::kInfeasible)], 20);
+  EXPECT_GT(outcomes[static_cast<int>(LpStatus::kUnbounded)], 20);
+}
+
+TEST(SimplexDifferential, MilpMatchesIntegerEnumeration) {
+  Rng rng(7919);
+  int feasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    LpModel lp;
+    if (rng.bernoulli(0.5)) lp.set_objective_sense(ObjectiveSense::kMaximize);
+    const int n = uniform_int(rng, 1, 3);
+    for (int j = 0; j < n; ++j) add_random_variable(lp, rng, true);
+    add_random_rows(lp, rng, uniform_int(rng, 1, 4));
+
+    // Every integer point of the box, best feasible objective.
+    const double sign =
+        lp.objective_sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
+    double best = kLpInfinity;
+    std::vector<double> x(n);
+    for (int j = 0; j < n; ++j) x[j] = lp.lower_bound(j);
+    while (true) {
+      if (lp.is_feasible(x, 1e-9)) {
+        best = std::min(best, sign * lp.objective_value(x));
+      }
+      int j = 0;
+      while (j < n && x[j] == lp.upper_bound(j)) {
+        x[j] = lp.lower_bound(j);
+        ++j;
+      }
+      if (j == n) break;
+      x[j] += 1.0;
+    }
+
+    const LpSolution got = solve_milp(lp);
+    if (best == kLpInfinity) {
+      EXPECT_EQ(got.status, LpStatus::kInfeasible) << "trial " << trial;
+      continue;
+    }
+    ++feasible;
+    ASSERT_EQ(got.status, LpStatus::kOptimal) << "trial " << trial;
+    EXPECT_NEAR(got.objective, sign * best, 1e-6) << "trial " << trial;
+  }
+  EXPECT_GT(feasible, 50);
+}
 
 // --- Branch & bound -----------------------------------------------------------
 

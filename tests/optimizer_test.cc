@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 
 #include "app/builders.h"
 #include "core/optimizer.h"
 #include "net/gcp_topology.h"
 #include "runtime/scenarios.h"
 #include "topogen/topogen.h"
+#include "util/rng.h"
 
 namespace slate {
 namespace {
@@ -574,6 +578,96 @@ TEST(OptimizerWarmStart, MilpModeIgnoresCacheSafely) {
   ASSERT_TRUE(b.ok());
   // The memo still short-circuits identical input; bases stay untouched.
   EXPECT_EQ(b.objective, a.objective);
+}
+
+// FNV-1a over the bit pattern of every rule weight, visited in (class,
+// node, origin) order, so any change in any plan bit changes the digest.
+std::uint64_t rule_digest(const OptimizerResult& result, const Scenario& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (std::size_t k = 0; k < s.app->class_count(); ++k) {
+    const std::size_t nodes = s.app->traffic_class(ClassId{k}).graph.node_count();
+    for (std::size_t n = 1; n < nodes; ++n) {
+      for (std::size_t i = 0; i < s.topology->cluster_count(); ++i) {
+        const RouteWeights* w = result.rules->find(ClassId{k}, n, ClusterId{i});
+        if (w == nullptr) continue;
+        for (std::size_t d = 0; d < w->clusters.size(); ++d) {
+          std::uint64_t bits = 0;
+          std::memcpy(&bits, &w->weights[d], sizeof bits);
+          mix(w->clusters[d].index());
+          mix(bits);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(OptimizerWarmStart, PlansAndPivotsPinnedAcrossPerturbations) {
+  // One cache driven through a cold solve and six seeded demand walks on a
+  // 10-cluster / 50-service world: the walk mixes basis warm starts that
+  // succeed with ones that fail and fall back to a cold solve. Every rule
+  // weight bit, the pivot count and the warm-group count of each solve are
+  // pinned. The expected values were recorded by running this test against
+  // the dense vector-of-rows simplex that preceded the flat nonzero-only
+  // kernel, so any kernel change that alters a pivot or a plan bit fails.
+  TopoGenOptions options;
+  options.seed = 5;
+  options.clusters = 10;
+  options.services = 50;
+  options.classes = 4;
+  options.total_rps = 1500.0;
+  const Scenario scenario = make_synth_scenario(options);
+  RouteOptimizer optimizer(*scenario.app, *scenario.deployment,
+                           *scenario.topology);
+  const LatencyModel model = LatencyModel::from_application(
+      *scenario.app, scenario.topology->cluster_count());
+  FlatMatrix<double> demand(scenario.app->class_count(),
+                            scenario.topology->cluster_count(), 0.0);
+  for (const auto& stream : scenario.demand.streams()) {
+    demand(stream.cls.index(), stream.cluster.index()) +=
+        scenario.demand.rate_at(stream.cls, stream.cluster, 0.0);
+  }
+
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t iterations;
+    std::size_t warm_groups;
+  };
+  const Pin expected[] = {
+      {0x7aadec7dd0709feull, 868, 0}, {0xa5fc1d1694978610ull, 3, 3},
+      {0x37fb6a49e415092ull, 315, 2},  {0x7482f6caaabdd36full, 3, 3},
+      {0x99ea1b5e5d462595ull, 315, 2}, {0x50128cfb7833dc72ull, 419, 2},
+      {0x5fbc0c2c2675e110ull, 317, 2},
+  };
+  OptimizerCache cache;
+  Rng rng(13);
+  for (std::size_t step = 0; step < std::size(expected); ++step) {
+    if (step > 0) {
+      for (std::size_t k = 0; k < demand.rows(); ++k) {
+        for (std::size_t c = 0; c < demand.cols(); ++c) {
+          demand(k, c) *= rng.uniform(0.98, 1.02);
+        }
+      }
+    }
+    const OptimizerResult result =
+        optimizer.optimize(model, demand, nullptr, &cache);
+    ASSERT_TRUE(result.ok()) << "step " << step;
+    EXPECT_EQ(rule_digest(result, scenario), expected[step].digest)
+        << "step " << step;
+    EXPECT_EQ(result.simplex_stats.iterations, expected[step].iterations)
+        << "step " << step;
+    EXPECT_EQ(result.warm_groups, expected[step].warm_groups) << "step " << step;
+    // After the first solve every group tries its basis, paying crash
+    // pivots; the groups that did not resume warm failed into a cold solve.
+    EXPECT_EQ(result.simplex_stats.warm_failed,
+              step == 0 ? 0 : result.solve_groups - result.warm_groups)
+        << "step " << step;
+    EXPECT_EQ(result.simplex_stats.crash_pivots > 0, step > 0) << "step " << step;
+  }
 }
 
 TEST(OptimizerDecompose, DisjointClassesMatchWholeProblem) {
