@@ -503,10 +503,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.solver_arm_hold));
     std::printf(
         "  solver   basis warm starts: %llu resumed / %llu failed, "
-        "%llu crash pivots\n",
+        "%llu crash pivots, %llu dual pivots\n",
         static_cast<unsigned long long>(r.solver_warm_groups),
         static_cast<unsigned long long>(r.solver_warm_failed),
-        static_cast<unsigned long long>(r.solver_crash_pivots));
+        static_cast<unsigned long long>(r.solver_crash_pivots),
+        static_cast<unsigned long long>(r.solver_dual_pivots));
   }
   if (r.rule_delta_count > 0) {
     std::printf("  rules    %llu pushes, mean successive L1 delta %.3f\n",

@@ -313,6 +313,8 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
   result.simplex_stats.iterations += stats.iterations;
   result.simplex_stats.crash_pivots += stats.crash_pivots;
   result.simplex_stats.warm_failed += stats.warm_failed;
+  result.simplex_stats.dual_pivots += stats.dual_pivots;
+  result.simplex_stats.cost_shifts += stats.cost_shifts;
   ++result.solve_groups;
   if (stats.warm_started) ++result.warm_groups;
   if (!solution.ok()) return solution.status;
@@ -523,6 +525,7 @@ OptimizerResult RouteOptimizer::optimize(
     cache->cold_group_solves += result.solve_groups - result.warm_groups;
     cache->crash_pivots += result.simplex_stats.crash_pivots;
     cache->warm_failed += result.simplex_stats.warm_failed;
+    cache->dual_pivots += result.simplex_stats.dual_pivots;
   }
   result.warm_started =
       result.solve_groups > 0 && result.warm_groups == result.solve_groups;

@@ -131,9 +131,11 @@ struct OptimizerCache {
   std::uint64_t warm_group_solves = 0;
   std::uint64_t cold_group_solves = 0;
   // Summed SimplexStats of the same name: basis warm starts that fell back
-  // to a cold solve, and the crash pivots spent on every warm attempt.
+  // to a cold solve, the crash pivots spent on every warm attempt, and the
+  // dual pivots that repaired installed bases.
   std::uint64_t warm_failed = 0;
   std::uint64_t crash_pivots = 0;
+  std::uint64_t dual_pivots = 0;
 };
 
 class RouteOptimizer {
@@ -151,9 +153,10 @@ class RouteOptimizer {
   // runtime; the controller feeds the observed counts back here.
   //
   // `cache`, if non-null, carries warm-start state across periods: the
-  // previous solve's per-group bases (phase 1 is skipped when they still
-  // reach a feasible point) and the steady-state memo (bit-identical inputs
-  // return the cached result outright). Passing null solves cold.
+  // previous solve's per-group bases (phase 1 is skipped; a basis the new
+  // inputs left infeasible is repaired by dual simplex) and the steady-state
+  // memo (bit-identical inputs return the cached result outright). Passing
+  // null solves cold.
   OptimizerResult optimize(const LatencyModel& model,
                            const FlatMatrix<double>& demand,
                            const std::vector<unsigned>* live_servers = nullptr,

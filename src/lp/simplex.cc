@@ -217,9 +217,7 @@ class Tableau {
   LpStatus solve_phase2(const std::vector<double>& cost,
                         std::vector<double>& solution, double& objective,
                         SimplexStats* stats) {
-    std::vector<double> full_cost(total_cols_, 0.0);
-    std::copy(cost.begin(), cost.end(), full_cost.begin());
-    build_objective(full_cost);
+    build_objective(cost);
     const LpStatus s2 = iterate(stats);
     if (s2 != LpStatus::kOptimal) return s2;
 
@@ -234,10 +232,13 @@ class Tableau {
   }
 
   // Installs `target` (a previous solve's basis) by crash pivots, skipping
-  // phase 1 entirely. Returns false — leaving the tableau unusable until
-  // reset() — when the basis does not fit this tableau or does not reach a
-  // primal-feasible point (demand moved too far since the basis was cut).
-  bool try_warm(const std::vector<int>& target, SimplexStats* stats) {
+  // phase 1 entirely, and repairs it into a primal-feasible basis by dual
+  // simplex when the rhs has moved since the basis was cut. Returns false —
+  // leaving the tableau unusable until reset() — when the basis does not fit
+  // this tableau, an artificial stays basic above zero, the dual finds a
+  // row that proves the LP infeasible, or the iteration limit is hit.
+  bool try_warm(const std::vector<int>& target, const std::vector<double>& cost,
+                SimplexStats* stats) {
     if (static_cast<int>(target.size()) != m_) return false;
     std::vector<char> in_target(total_cols_, 0);
     for (const int c : target) {
@@ -267,18 +268,15 @@ class Tableau {
       if (stats != nullptr) ++stats->crash_pivots;
       is_basic[c] = 1;
     }
-    // Primal feasibility at the reconstructed basis: nonnegative rhs (tiny
-    // negative rounding dust is clamped), and no artificial basic above
-    // noise level.
+    artificials_disabled_ = true;
+    if (!dual_repair(cost, stats)) return false;
+    // Primal feasibility at the repaired basis: rounding dust below zero is
+    // clamped, and no artificial may stay basic above noise level.
     for (int i = 0; i < m_; ++i) {
       double& rhs = row_at(i)[total_cols_];
-      if (rhs < 0.0) {
-        if (rhs < -1e-7) return false;
-        rhs = 0.0;
-      }
+      if (rhs < 0.0) rhs = 0.0;
       if (basis_[i] >= first_artificial_ && rhs > 1e-7) return false;
     }
-    artificials_disabled_ = true;
     return true;
   }
 
@@ -291,13 +289,14 @@ class Tableau {
     return a_.data() + static_cast<std::size_t>(i) * stride_;
   }
 
-  // Rebuilds the reduced-cost row for the given column costs, pricing out
-  // the current basis.
+  // Rebuilds the reduced-cost row for the given column costs (columns past
+  // the end of `cost` cost zero), pricing out the current basis.
   void build_objective(const std::vector<double>& cost) {
+    std::fill(obj_.begin(), obj_.end(), 0.0);
     std::copy(cost.begin(), cost.end(), obj_.begin());
-    obj_[total_cols_] = 0.0;
     for (int i = 0; i < m_; ++i) {
-      const double cb = cost[basis_[i]];
+      const auto b = static_cast<std::size_t>(basis_[i]);
+      const double cb = b < cost.size() ? cost[b] : 0.0;
       if (cb == 0.0) continue;
       const double* row = row_at(i);
       for (int c = 0; c <= total_cols_; ++c) obj_[c] -= cb * row[c];
@@ -305,6 +304,64 @@ class Tableau {
   }
 
   [[nodiscard]] double objective_value() const { return -obj_[total_cols_]; }
+
+  // Dual simplex from the crashed basis until no rhs is below -1e-7. The
+  // reduced costs are those of `cost`, with negative ones clamped to zero
+  // (cost shifting) so the basis starts dual feasible; phase 2 then prices
+  // the true costs again, so the shift never reaches the answer. Returns
+  // false on a row with no entering column (the LP is infeasible) or at the
+  // iteration limit.
+  bool dual_repair(const std::vector<double>& cost, SimplexStats* stats) {
+    const auto most_negative_row = [&](bool bland) {
+      int row = -1;
+      double worst = -1e-7;
+      for (int i = 0; i < m_; ++i) {
+        const double rhs = row_at(i)[total_cols_];
+        if (rhs >= -1e-7) continue;
+        if (bland ? row < 0 || basis_[i] < basis_[row] : rhs < worst) {
+          worst = rhs;
+          row = i;
+        }
+      }
+      return row;
+    };
+    if (most_negative_row(false) < 0) return true;
+
+    const double tol = options_.tolerance;
+    build_objective(cost);
+    bool shifted = false;
+    for (int c = 0; c < first_artificial_; ++c) {
+      if (obj_[c] < 0.0) {
+        shifted = shifted || obj_[c] < -tol;
+        obj_[c] = 0.0;
+      }
+    }
+    if (shifted && stats != nullptr) ++stats->cost_shifts;
+
+    for (std::uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
+      const int leaving = most_negative_row(iter >= options_.bland_after);
+      if (leaving < 0) return true;
+      const double* row = row_at(leaving);
+      int entering = -1;
+      double best_ratio = kLpInfinity;
+      for (int c = 0; c < first_artificial_; ++c) {
+        if (row[c] < -tol) {
+          const double ratio = obj_[c] / -row[c];
+          if (ratio < best_ratio) {
+            best_ratio = ratio;
+            entering = c;
+          }
+        }
+      }
+      if (entering < 0) return false;
+      pivot(leaving, entering);
+      if (stats != nullptr) {
+        ++stats->iterations;
+        ++stats->dual_pivots;
+      }
+    }
+    return false;
+  }
 
   // After phase 1: pivot lingering artificials out of the basis or drop
   // their (redundant) rows, then forbid artificial columns.
@@ -435,7 +492,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
   Tableau tableau(model, t, options);
   const bool try_basis =
       warm != nullptr && warm->valid() && warm->signature == signature;
-  if (try_basis && tableau.try_warm(warm->basis, stats) &&
+  if (try_basis && tableau.try_warm(warm->basis, t.cost, stats) &&
       tableau.solve_phase2(t.cost, columns, objective, stats) ==
           LpStatus::kOptimal) {
     if (stats != nullptr) stats->warm_started = true;

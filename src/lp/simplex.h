@@ -7,6 +7,13 @@
 // rule after a fixed number of iterations to guarantee termination on
 // degenerate problems.
 //
+// A warm start replaces phase 1 with three steps: crash pivots install the
+// previous period's basis; when the moved rhs leaves that basis primal
+// infeasible, dual simplex repairs it (negative reduced costs clamped to
+// zero first, so the basis starts dual feasible); phase 2 then prices the
+// true costs and finishes. Only a basis that cannot be installed or
+// repaired falls back to a cold solve.
+//
 // The tableau is one row-major buffer per solve_lp call, filled from the
 // model's sparse rows (a failed warm start refills it for the cold solve).
 // A pivot updates the other rows only at the pivot row's nonzero columns,
@@ -30,6 +37,7 @@ struct SimplexOptions {
 };
 
 struct SimplexStats {
+  // Every primal and dual simplex pivot (crash pivots excluded).
   std::uint64_t iterations = 0;
   // True when the solve skipped phase 1 by reusing a caller-supplied basis.
   bool warm_started = false;
@@ -38,12 +46,19 @@ struct SimplexStats {
   // starts that failed into a cold solve.
   std::uint64_t crash_pivots = 0;
   std::uint64_t warm_failed = 0;
+  // Dual simplex pivots that repaired an installed basis (also counted in
+  // `iterations`), and warm solves whose reduced costs had to be clamped to
+  // make that basis dual feasible.
+  std::uint64_t dual_pivots = 0;
+  std::uint64_t cost_shifts = 0;
 };
 
 // An optimal basis exported by a previous solve, reusable as a warm start
 // for a structurally identical model (same constraint/variable layout; only
 // coefficients, bounds, and rhs may differ — the control loop's case, where
-// demand moves between periods but the LP shape is fixed). `signature`
+// demand moves between periods but the LP shape is fixed). The basis need
+// not stay primal or dual feasible for the new values: the warm start
+// repairs it by dual simplex before phase 2. `signature`
 // fingerprints the transformed layout; a solve handed a basis with a stale
 // signature simply cold-solves and overwrites it.
 struct SimplexBasis {
@@ -55,10 +70,12 @@ struct SimplexBasis {
 
 // Solves the LP relaxation of `model`. `stats`, if non-null, receives
 // iteration counts. `warm`, if non-null, is both input and output: a valid
-// matching basis skips phase 1 (reconstructing the previous period's basis
-// and resuming phase 2 from it, falling back to a cold solve if the basis
-// no longer reaches a feasible point); on any optimal solve the final basis
-// is written back for the next period.
+// matching basis skips phase 1 (crash pivots reconstruct the previous
+// period's basis, dual simplex repairs it if the rhs moved out of its
+// feasible range, and phase 2 resumes from it; a cold solve runs only if
+// the basis cannot be installed or repaired, which includes every
+// infeasible LP); on any optimal solve the final basis is written back for
+// the next period.
 LpSolution solve_lp(const LpModel& model, const SimplexOptions& options = {},
                     SimplexStats* stats = nullptr,
                     SimplexBasis* warm = nullptr);

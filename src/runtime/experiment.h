@@ -323,10 +323,12 @@ struct ExperimentResult {
   std::uint64_t solver_arm_hold = 0;     // periods that produced no plan
   // Exact-arm basis warm starts, per class group: resumed from the previous
   // period's basis, or failed into a cold solve; crash pivots are spent on
-  // both and are not counted as simplex iterations.
+  // both and are not counted as simplex iterations; dual pivots repair an
+  // installed basis the moved demand left infeasible.
   std::uint64_t solver_warm_groups = 0;
   std::uint64_t solver_warm_failed = 0;
   std::uint64_t solver_crash_pivots = 0;
+  std::uint64_t solver_dual_pivots = 0;
   [[nodiscard]] double mean_solve_seconds() const noexcept {
     return solver_solves > 0
                ? solver_total_seconds / static_cast<double>(solver_solves)

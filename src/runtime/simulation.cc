@@ -1612,6 +1612,7 @@ ExperimentResult Simulation::run() {
     result_.solver_warm_groups = cache.warm_group_solves;
     result_.solver_warm_failed = cache.warm_failed;
     result_.solver_crash_pivots = cache.crash_pivots;
+    result_.solver_dual_pivots = cache.dual_pivots;
     if (const DemandForecaster* f = global_->forecaster()) {
       result_.forecast_mean_smape = f->mean_smape();
       result_.forecast_mean_confidence = f->mean_confidence();

@@ -428,6 +428,88 @@ TEST(SimplexDifferential, MatchesVertexEnumeration) {
   EXPECT_GT(outcomes[static_cast<int>(LpStatus::kUnbounded)], 20);
 }
 
+// The column offset the simplex shifts variable j by (lower bound, else
+// upper bound, else 0 for a free variable).
+double column_offset(const LpModel& lp, int j) {
+  if (lp.lower_bound(j) != -kLpInfinity) return lp.lower_bound(j);
+  return lp.upper_bound(j) != kLpInfinity ? lp.upper_bound(j) : 0.0;
+}
+
+// A copy of `a` with the same simplex layout (bound shapes, relations, and
+// the sign of every offset-shifted rhs) but every cost, bound, coefficient
+// and rhs jittered by small integers, as the control loop's next period.
+LpModel perturb(const LpModel& a, Rng& rng) {
+  LpModel b;
+  b.set_objective_sense(a.objective_sense());
+  for (int j = 0; j < a.variable_count(); ++j) {
+    double lo = a.lower_bound(j);
+    double hi = a.upper_bound(j);
+    if (lo != -kLpInfinity) lo += uniform_int(rng, -1, 1);
+    if (hi != kLpInfinity) hi = std::max(lo, hi + uniform_int(rng, -1, 1));
+    b.add_variable(lo, hi,
+                   a.objective_coefficient(j) + uniform_int(rng, -1, 1));
+  }
+  for (const auto& row : a.rows()) {
+    std::vector<LinearTerm> terms;
+    for (int j = 0; j < a.variable_count(); ++j) {
+      double c = 0.0;
+      for (const auto& t : row.terms) {
+        if (t.var == j) c = t.coeff;
+      }
+      terms.push_back({j, c + uniform_int(rng, -1, 1)});
+    }
+    double old_rhs = row.rhs;
+    for (const auto& t : row.terms) old_rhs -= t.coeff * column_offset(a, t.var);
+    double rhs = old_rhs + uniform_int(rng, -3, 3);
+    rhs = old_rhs < 0.0 ? std::min(rhs, -1.0) : std::max(rhs, 0.0);
+    for (const auto& t : terms) rhs += t.coeff * column_offset(b, t.var);
+    b.add_constraint(std::move(terms), row.rel, rhs);
+  }
+  return b;
+}
+
+TEST(SimplexDifferential, WarmFromPerturbedBasis) {
+  Rng rng(20261019);
+  int repaired = 0;
+  int shifted = 0;
+  int infeasible_fallbacks = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    LpModel a;
+    SimplexBasis basis;
+    do {
+      a = LpModel();
+      if (rng.bernoulli(0.5)) a.set_objective_sense(ObjectiveSense::kMaximize);
+      const int n = uniform_int(rng, 1, 4);
+      for (int j = 0; j < n; ++j) add_random_variable(a, rng, false);
+      add_random_rows(a, rng, uniform_int(rng, 1, 5));
+      basis = SimplexBasis();
+    } while (!solve_lp(a, {}, nullptr, &basis).ok());
+
+    const LpModel b = perturb(a, rng);
+    const LpSolution want = brute_force_lp(b);
+    SimplexStats stats;
+    const LpSolution got = solve_lp(b, {}, &stats, &basis);
+    // Same layout, so A's basis is always tried.
+    ASSERT_TRUE(stats.warm_started || stats.warm_failed > 0) << "trial " << trial;
+    ASSERT_EQ(got.status, want.status) << "trial " << trial;
+    if (stats.dual_pivots > 0) ++repaired;
+    if (stats.cost_shifts > 0) ++shifted;
+    if (want.status == LpStatus::kInfeasible && stats.warm_failed > 0) {
+      ++infeasible_fallbacks;
+    }
+    if (!got.ok()) continue;
+    EXPECT_NEAR(got.objective, want.objective,
+                1e-6 * std::max(1.0, std::abs(want.objective)))
+        << "trial " << trial;
+    EXPECT_TRUE(b.is_feasible(got.values, 1e-6)) << "trial " << trial;
+  }
+  // The generator reaches every branch of the warm path: dual repair, cost
+  // shifting, and an infeasible B that falls back to a cold solve.
+  EXPECT_GE(repaired, 50);
+  EXPECT_GE(shifted, 20);
+  EXPECT_GT(infeasible_fallbacks, 0);
+}
+
 TEST(SimplexDifferential, MilpMatchesIntegerEnumeration) {
   Rng rng(7919);
   int feasible = 0;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <vector>
 
 #include "app/builders.h"
 #include "core/optimizer.h"
@@ -608,12 +609,12 @@ std::uint64_t rule_digest(const OptimizerResult& result, const Scenario& s) {
 
 TEST(OptimizerWarmStart, PlansAndPivotsPinnedAcrossPerturbations) {
   // One cache driven through a cold solve and six seeded demand walks on a
-  // 10-cluster / 50-service world: the walk mixes basis warm starts that
-  // succeed with ones that fail and fall back to a cold solve. Every rule
-  // weight bit, the pivot count and the warm-group count of each solve are
-  // pinned. The expected values were recorded by running this test against
-  // the dense vector-of-rows simplex that preceded the flat nonzero-only
-  // kernel, so any kernel change that alters a pivot or a plan bit fails.
+  // 10-cluster / 50-service world. Every step after the first resumes every
+  // group from its previous basis, repairing it by dual simplex where the
+  // walk left it infeasible; no group falls back to a cold solve. Every rule
+  // weight bit and the pivot, warm-group and dual-pivot counts of each
+  // solve are pinned, so any kernel change that alters a pivot or a plan bit
+  // fails.
   TopoGenOptions options;
   options.seed = 5;
   options.clusters = 10;
@@ -636,12 +637,13 @@ TEST(OptimizerWarmStart, PlansAndPivotsPinnedAcrossPerturbations) {
     std::uint64_t digest;
     std::uint64_t iterations;
     std::size_t warm_groups;
+    std::uint64_t dual_pivots;
   };
   const Pin expected[] = {
-      {0x7aadec7dd0709feull, 868, 0}, {0xa5fc1d1694978610ull, 3, 3},
-      {0x37fb6a49e415092ull, 315, 2},  {0x7482f6caaabdd36full, 3, 3},
-      {0x99ea1b5e5d462595ull, 315, 2}, {0x50128cfb7833dc72ull, 419, 2},
-      {0x5fbc0c2c2675e110ull, 317, 2},
+      {0x7aadec7dd0709feull, 868, 0, 0},  {0xa5fc1d1694978610ull, 3, 3, 0},
+      {0xbb4f3c46b791c23full, 5, 3, 2},   {0xf016a9ca60a63498ull, 3, 3, 0},
+      {0xdec6d5582fc4c6b7ull, 5, 3, 2},   {0x2ecfa5705b970f78ull, 5, 3, 2},
+      {0x559e20f654027a22ull, 5, 3, 2},
   };
   OptimizerCache cache;
   Rng rng(13);
@@ -657,17 +659,78 @@ TEST(OptimizerWarmStart, PlansAndPivotsPinnedAcrossPerturbations) {
         optimizer.optimize(model, demand, nullptr, &cache);
     ASSERT_TRUE(result.ok()) << "step " << step;
     EXPECT_EQ(rule_digest(result, scenario), expected[step].digest)
-        << "step " << step;
+        << "step " << step << std::hex << " digest 0x"
+        << rule_digest(result, scenario);
     EXPECT_EQ(result.simplex_stats.iterations, expected[step].iterations)
         << "step " << step;
     EXPECT_EQ(result.warm_groups, expected[step].warm_groups) << "step " << step;
-    // After the first solve every group tries its basis, paying crash
-    // pivots; the groups that did not resume warm failed into a cold solve.
-    EXPECT_EQ(result.simplex_stats.warm_failed,
-              step == 0 ? 0 : result.solve_groups - result.warm_groups)
+    EXPECT_EQ(result.simplex_stats.dual_pivots, expected[step].dual_pivots)
+        << "step " << step;
+    // After the first solve every group resumes from its basis, paying
+    // crash pivots and never falling back to a cold solve.
+    EXPECT_EQ(result.simplex_stats.warm_failed, 0u) << "step " << step;
+    EXPECT_EQ(result.warm_groups, step == 0 ? 0 : result.solve_groups)
         << "step " << step;
     EXPECT_EQ(result.simplex_stats.crash_pivots > 0, step > 0) << "step " << step;
+    // The warm plan is optimal for this period's LP.
+    const OptimizerResult cold = optimizer.optimize(model, demand);
+    ASSERT_TRUE(cold.ok()) << "step " << step;
+    EXPECT_NEAR(result.objective, cold.objective,
+                1e-6 * std::fabs(cold.objective))
+        << "step " << step;
   }
+}
+
+TEST(OptimizerWarmStart, ServiceTimeAndCapacityChangesRepairWithoutFallback) {
+  // Between periods the fitted service times and the live server counts
+  // move as well as demand, so the old basis's reduced costs go negative
+  // and the dual repair has to shift costs before it can run.
+  const Scenario scenario = synth_world();
+  const std::size_t S = scenario.app->service_count();
+  const std::size_t C = scenario.topology->cluster_count();
+  RouteOptimizer optimizer(*scenario.app, *scenario.deployment,
+                           *scenario.topology);
+  LatencyModel model = LatencyModel::from_application(*scenario.app, C);
+  FlatMatrix<double> demand = demand_for(scenario);
+  std::vector<unsigned> live(S * C, 0);
+
+  OptimizerCache cache;
+  ASSERT_TRUE(optimizer.optimize(model, demand, &live, &cache).ok());
+  Rng rng(29);
+  std::uint64_t cost_shifts = 0;
+  for (int period = 1; period <= 6; ++period) {
+    for (std::size_t s = 0; s < S; ++s) {
+      for (std::size_t k = 0; k < scenario.app->class_count(); ++k) {
+        for (std::size_t c = 0; c < C; ++c) {
+          const ServiceId svc{s};
+          const double t = model.service_time(svc, ClassId{k}, ClusterId{c});
+          model.set_service_time(svc, ClassId{k}, ClusterId{c},
+                                 t * rng.uniform(0.9, 1.1));
+        }
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const unsigned base = scenario.deployment->servers(ServiceId{s}, ClusterId{c});
+        if (base > 0) live[s * C + c] = base + static_cast<unsigned>(rng.uniform_u64(2));
+      }
+    }
+    for (std::size_t k = 0; k < demand.rows(); ++k) {
+      for (std::size_t c = 0; c < demand.cols(); ++c) {
+        demand(k, c) *= rng.uniform(0.9, 1.1);
+      }
+    }
+    const OptimizerResult warm =
+        optimizer.optimize(model, demand, &live, &cache);
+    const OptimizerResult cold = optimizer.optimize(model, demand, &live);
+    ASSERT_TRUE(warm.ok()) << "period " << period;
+    ASSERT_TRUE(cold.ok()) << "period " << period;
+    EXPECT_EQ(warm.simplex_stats.warm_failed, 0u) << "period " << period;
+    EXPECT_EQ(warm.warm_groups, warm.solve_groups) << "period " << period;
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-6 * std::fabs(cold.objective))
+        << "period " << period;
+    cost_shifts += warm.simplex_stats.cost_shifts;
+  }
+  EXPECT_GT(cost_shifts, 0u);
 }
 
 TEST(OptimizerDecompose, DisjointClassesMatchWholeProblem) {
