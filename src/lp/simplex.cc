@@ -122,18 +122,48 @@ std::uint64_t layout_signature(const Transformed& t) {
   return h;
 }
 
-// Row-major tableau in one buffer (row i at a_[i * stride_], rhs last) with
-// explicit basis bookkeeping. `model` and `t` must outlive it.
-class Tableau {
+// What both tableau stores share: the basis, the dense reduced-cost row (its
+// last slot holds minus the objective value), Dantzig pricing with a switch
+// to Bland's rule, the ratio test and phase 2. Column indices are those of
+// the dense layout [structural | slack/surplus | artificial]. `Store` owns
+// the coefficients and the rhs and supplies rhs(i); for_row(i, f(c, v)) over
+// the row's stored entries; for_column(c, f(i, v)) over the rows holding
+// column c, in ascending row order (the ratio test's tie-break depends on
+// it); and pivot(row, col), which also updates obj_.
+template <class Store>
+class Simplex {
  public:
-  Tableau(const LpModel& model, const Transformed& t,
-          const SimplexOptions& options)
-      : model_(model),
-        t_(t),
-        options_(options),
-        structural_cols_(static_cast<int>(t.columns.size())),
-        m_(static_cast<int>(t.rhs.size())) {
-    // Column layout: [structural | slack/surplus | artificial], then rhs.
+  // Phase 2 only — valid from a feasible basis. On kOptimal, `solution`
+  // holds structural column values.
+  LpStatus solve_phase2(const std::vector<double>& cost,
+                        std::vector<double>& solution, double& objective,
+                        SimplexStats* stats) {
+    build_objective(cost);
+    const LpStatus s2 = iterate(stats);
+    if (s2 != LpStatus::kOptimal) return s2;
+
+    solution.assign(structural_cols_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+      if (basis_[i] >= 0 && basis_[i] < structural_cols_) {
+        solution[basis_[i]] = store().rhs(i);
+      }
+    }
+    objective = objective_value();
+    return LpStatus::kOptimal;
+  }
+
+  [[nodiscard]] const std::vector<int>& basis() const noexcept {
+    return basis_;
+  }
+
+ protected:
+  // Sizes the layout for `t`. Pricing covers artificial columns only when
+  // the store keeps them.
+  void layout(const Transformed& t, const SimplexOptions& options,
+              bool store_artificials) {
+    options_ = options;
+    structural_cols_ = static_cast<int>(t.columns.size());
+    m_ = static_cast<int>(t.rhs.size());
     int slack_count = 0;
     int artificial_count = 0;
     for (const Relation r : t.rel) {
@@ -142,61 +172,145 @@ class Tableau {
     }
     total_cols_ = structural_cols_ + slack_count + artificial_count;
     first_artificial_ = structural_cols_ + slack_count;
-    stride_ = static_cast<std::size_t>(total_cols_) + 1;
-    reset();
-  }
-
-  // (Re)fills the buffer with the starting tableau: each model row's sparse
-  // terms scattered into its columns, slacks and artificials forming the
-  // initial basis. A failed warm start calls this to cold-solve in place.
-  void reset() {
-    a_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
+    price_end_ = store_artificials ? total_cols_ : first_artificial_;
     // pivot() maintains the objective row unconditionally; warm-start
     // reconstruction pivots before any build_objective call, so the row
     // must exist (as zeros) from the start.
-    obj_.assign(stride_, 0.0);
+    obj_.assign(static_cast<std::size_t>(price_end_) + 1, 0.0);
     basis_.assign(m_, -1);
-    artificials_disabled_ = false;
+  }
 
-    const std::vector<LpModel::Row>& rows = model_.rows();
+  // Visits the starting tableau: emit(i, c, v) for each structural and
+  // slack/surplus coefficient of row i, with basis_[i] set to the row's
+  // slack or artificial column (the artificial's unit coefficient is left
+  // to stores that keep artificial columns).
+  template <class Emit>
+  void starting_rows(const LpModel& model, const Transformed& t, Emit emit) {
+    const std::vector<LpModel::Row>& rows = model.rows();
     int next_slack = structural_cols_;
     int next_artificial = first_artificial_;
     for (int i = 0; i < m_; ++i) {
-      double* row = row_at(i);
-      const bool neg = t_.negated[i] != 0;
+      const bool neg = t.negated[i] != 0;
       if (i < static_cast<int>(rows.size())) {
         for (const LinearTerm& term : rows[i].terms) {
-          for (const int c : {t_.first_col[term.var], t_.second_col[term.var]}) {
+          for (const int c : {t.first_col[term.var], t.second_col[term.var]}) {
             if (c < 0) continue;
-            const double v = term.coeff * t_.columns[c].sign;
-            row[c] = neg ? -v : v;
+            const double v = term.coeff * t.columns[c].sign;
+            emit(i, c, neg ? -v : v);
           }
         }
       } else {
-        row[t_.bound_col[i - rows.size()]] = neg ? -1.0 : 1.0;
+        emit(i, t.bound_col[i - rows.size()], neg ? -1.0 : 1.0);
       }
-      row[total_cols_] = t_.rhs[i];
-      switch (t_.rel[i]) {
+      switch (t.rel[i]) {
         case Relation::kLessEqual:
-          row[next_slack] = 1.0;
+          emit(i, next_slack, 1.0);
           basis_[i] = next_slack++;
           break;
         case Relation::kGreaterEqual:
-          row[next_slack] = -1.0;
-          ++next_slack;
-          row[next_artificial] = 1.0;
+          emit(i, next_slack++, -1.0);
           basis_[i] = next_artificial++;
           break;
         case Relation::kEqual:
-          row[next_artificial] = 1.0;
           basis_[i] = next_artificial++;
           break;
       }
     }
   }
 
-  // Runs phase 1 + phase 2. Returns the status; on kOptimal, `solution`
-  // holds structural column values.
+  // Rebuilds the reduced-cost row for the given column costs (columns past
+  // the end of `cost` cost zero), pricing out the current basis.
+  void build_objective(const std::vector<double>& cost) {
+    std::fill(obj_.begin(), obj_.end(), 0.0);
+    std::copy(cost.begin(), cost.end(), obj_.begin());
+    double& value = obj_.back();
+    for (int i = 0; i < m_; ++i) {
+      const auto b = static_cast<std::size_t>(basis_[i]);
+      const double cb = b < cost.size() ? cost[b] : 0.0;
+      if (cb == 0.0) continue;
+      store().for_row(i, [&](int c, double v) { obj_[c] -= cb * v; });
+      value -= cb * store().rhs(i);
+    }
+  }
+
+  [[nodiscard]] double objective_value() const { return -obj_.back(); }
+
+  LpStatus iterate(SimplexStats* stats) {
+    const double tol = options_.tolerance;
+    for (std::uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
+      if (stats != nullptr) ++stats->iterations;
+      const bool bland = iter >= options_.bland_after;
+
+      // Entering column.
+      int entering = -1;
+      double best = -tol;
+      for (int c = 0; c < price_end_; ++c) {
+        const double rc = obj_[c];
+        if (rc < -tol) {
+          if (bland) {
+            entering = c;
+            break;
+          }
+          if (rc < best) {
+            best = rc;
+            entering = c;
+          }
+        }
+      }
+      if (entering < 0) return LpStatus::kOptimal;
+
+      // Ratio test.
+      int leaving = -1;
+      double best_ratio = kLpInfinity;
+      store().for_column(entering, [&](int i, double a) {
+        if (a > tol) {
+          const double ratio = store().rhs(i) / a;
+          if (ratio < best_ratio - tol ||
+              (ratio < best_ratio + tol && leaving >= 0 &&
+               basis_[i] < basis_[leaving])) {
+            best_ratio = ratio;
+            leaving = i;
+          }
+        }
+      });
+      if (leaving < 0) return LpStatus::kUnbounded;
+      store().pivot(leaving, entering);
+    }
+    return LpStatus::kIterationLimit;
+  }
+
+  Store& store() noexcept { return static_cast<Store&>(*this); }
+
+  SimplexOptions options_;
+  int structural_cols_ = 0;
+  int m_ = 0;
+  int total_cols_ = 0;
+  int first_artificial_ = 0;
+  int price_end_ = 0;  // pricing and pivots cover columns [0, price_end_)
+  std::vector<double> obj_;
+  std::vector<int> basis_;
+};
+
+// The cold path: a row-major tableau in one buffer (row i at a_[i * stride_],
+// rhs last) built per solve, with artificial columns for phase 1. A cold
+// pivot changes ~150 rows at ~60 columns each on the benchmark's largest
+// group, which a flat buffer serves faster than row lists.
+class DenseTableau : public Simplex<DenseTableau> {
+ public:
+  DenseTableau(const LpModel& model, const Transformed& t,
+               const SimplexOptions& options) {
+    layout(t, options, /*store_artificials=*/true);
+    stride_ = static_cast<std::size_t>(total_cols_) + 1;
+    a_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
+    starting_rows(model, t, [&](int i, int c, double v) { row_at(i)[c] = v; });
+    for (int i = 0; i < m_; ++i) {
+      double* row = row_at(i);
+      if (basis_[i] >= first_artificial_) row[basis_[i]] = 1.0;
+      row[total_cols_] = t.rhs[i];
+    }
+  }
+
+  // Runs phase 1 + phase 2.
   LpStatus solve(const std::vector<double>& cost, std::vector<double>& solution,
                  double& objective, SimplexStats* stats) {
     if (first_artificial_ < total_cols_) {
@@ -212,155 +326,21 @@ class Tableau {
     return solve_phase2(cost, solution, objective, stats);
   }
 
-  // Phase 2 only — valid from a feasible basis (after phase 1, or after a
-  // successful try_warm).
-  LpStatus solve_phase2(const std::vector<double>& cost,
-                        std::vector<double>& solution, double& objective,
-                        SimplexStats* stats) {
-    build_objective(cost);
-    const LpStatus s2 = iterate(stats);
-    if (s2 != LpStatus::kOptimal) return s2;
-
-    solution.assign(structural_cols_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      if (basis_[i] >= 0 && basis_[i] < structural_cols_) {
-        solution[basis_[i]] = row_at(i)[total_cols_];
-      }
-    }
-    objective = objective_value();
-    return LpStatus::kOptimal;
-  }
-
-  // Installs `target` (a previous solve's basis) by crash pivots, skipping
-  // phase 1 entirely, and repairs it into a primal-feasible basis by dual
-  // simplex when the rhs has moved since the basis was cut. Returns false —
-  // leaving the tableau unusable until reset() — when the basis does not fit
-  // this tableau, an artificial stays basic above zero, the dual finds a
-  // row that proves the LP infeasible, or the iteration limit is hit.
-  bool try_warm(const std::vector<int>& target, const std::vector<double>& cost,
-                SimplexStats* stats) {
-    if (static_cast<int>(target.size()) != m_) return false;
-    std::vector<char> in_target(total_cols_, 0);
-    for (const int c : target) {
-      if (c < 0 || c >= total_cols_ || in_target[c] != 0) return false;
-      in_target[c] = 1;
-    }
-    std::vector<char> is_basic(total_cols_, 0);
-    for (const int c : basis_) is_basic[c] = 1;
-    for (int r = 0; r < m_; ++r) {
-      const int c = target[r];
-      if (is_basic[c] != 0) continue;  // initial slack that stays basic
-      // Bring column c into the basis against a row whose current basic
-      // column is not wanted, preferring the largest pivot for stability.
-      int pivot_row = -1;
-      double best = 1e-7;
-      for (int i = 0; i < m_; ++i) {
-        if (in_target[basis_[i]] != 0) continue;
-        const double a = std::abs(row_at(i)[c]);
-        if (a > best) {
-          best = a;
-          pivot_row = i;
-        }
-      }
-      if (pivot_row < 0) return false;  // numerically dependent: cold-solve
-      is_basic[basis_[pivot_row]] = 0;
-      pivot(pivot_row, c);
-      if (stats != nullptr) ++stats->crash_pivots;
-      is_basic[c] = 1;
-    }
-    artificials_disabled_ = true;
-    if (!dual_repair(cost, stats)) return false;
-    // Primal feasibility at the repaired basis: rounding dust below zero is
-    // clamped, and no artificial may stay basic above noise level.
-    for (int i = 0; i < m_; ++i) {
-      double& rhs = row_at(i)[total_cols_];
-      if (rhs < 0.0) rhs = 0.0;
-      if (basis_[i] >= first_artificial_ && rhs > 1e-7) return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] const std::vector<int>& basis() const noexcept {
-    return basis_;
-  }
-
  private:
+  friend class Simplex<DenseTableau>;
+
   [[nodiscard]] double* row_at(int i) noexcept {
     return a_.data() + static_cast<std::size_t>(i) * stride_;
   }
-
-  // Rebuilds the reduced-cost row for the given column costs (columns past
-  // the end of `cost` cost zero), pricing out the current basis.
-  void build_objective(const std::vector<double>& cost) {
-    std::fill(obj_.begin(), obj_.end(), 0.0);
-    std::copy(cost.begin(), cost.end(), obj_.begin());
-    for (int i = 0; i < m_; ++i) {
-      const auto b = static_cast<std::size_t>(basis_[i]);
-      const double cb = b < cost.size() ? cost[b] : 0.0;
-      if (cb == 0.0) continue;
-      const double* row = row_at(i);
-      for (int c = 0; c <= total_cols_; ++c) obj_[c] -= cb * row[c];
-    }
+  [[nodiscard]] double rhs(int i) noexcept { return row_at(i)[total_cols_]; }
+  template <class F>
+  void for_row(int i, F f) {
+    const double* row = row_at(i);
+    for (int c = 0; c < total_cols_; ++c) f(c, row[c]);
   }
-
-  [[nodiscard]] double objective_value() const { return -obj_[total_cols_]; }
-
-  // Dual simplex from the crashed basis until no rhs is below -1e-7. The
-  // reduced costs are those of `cost`, with negative ones clamped to zero
-  // (cost shifting) so the basis starts dual feasible; phase 2 then prices
-  // the true costs again, so the shift never reaches the answer. Returns
-  // false on a row with no entering column (the LP is infeasible) or at the
-  // iteration limit.
-  bool dual_repair(const std::vector<double>& cost, SimplexStats* stats) {
-    const auto most_negative_row = [&](bool bland) {
-      int row = -1;
-      double worst = -1e-7;
-      for (int i = 0; i < m_; ++i) {
-        const double rhs = row_at(i)[total_cols_];
-        if (rhs >= -1e-7) continue;
-        if (bland ? row < 0 || basis_[i] < basis_[row] : rhs < worst) {
-          worst = rhs;
-          row = i;
-        }
-      }
-      return row;
-    };
-    if (most_negative_row(false) < 0) return true;
-
-    const double tol = options_.tolerance;
-    build_objective(cost);
-    bool shifted = false;
-    for (int c = 0; c < first_artificial_; ++c) {
-      if (obj_[c] < 0.0) {
-        shifted = shifted || obj_[c] < -tol;
-        obj_[c] = 0.0;
-      }
-    }
-    if (shifted && stats != nullptr) ++stats->cost_shifts;
-
-    for (std::uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
-      const int leaving = most_negative_row(iter >= options_.bland_after);
-      if (leaving < 0) return true;
-      const double* row = row_at(leaving);
-      int entering = -1;
-      double best_ratio = kLpInfinity;
-      for (int c = 0; c < first_artificial_; ++c) {
-        if (row[c] < -tol) {
-          const double ratio = obj_[c] / -row[c];
-          if (ratio < best_ratio) {
-            best_ratio = ratio;
-            entering = c;
-          }
-        }
-      }
-      if (entering < 0) return false;
-      pivot(leaving, entering);
-      if (stats != nullptr) {
-        ++stats->iterations;
-        ++stats->dual_pivots;
-      }
-    }
-    return false;
+  template <class F>
+  void for_column(int c, F f) {
+    for (int i = 0; i < m_; ++i) f(i, row_at(i)[c]);
   }
 
   // After phase 1: pivot lingering artificials out of the basis or drop
@@ -385,55 +365,7 @@ class Tableau {
         std::fill(row, row + stride_, 0.0);
       }
     }
-    artificials_disabled_ = true;
-  }
-
-  LpStatus iterate(SimplexStats* stats) {
-    const double tol = options_.tolerance;
-    for (std::uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
-      if (stats != nullptr) ++stats->iterations;
-      const bool bland = iter >= options_.bland_after;
-
-      // Entering column.
-      int entering = -1;
-      double best = -tol;
-      const int scan_limit =
-          artificials_disabled_ ? first_artificial_ : total_cols_;
-      for (int c = 0; c < scan_limit; ++c) {
-        const double rc = obj_[c];
-        if (rc < -tol) {
-          if (bland) {
-            entering = c;
-            break;
-          }
-          if (rc < best) {
-            best = rc;
-            entering = c;
-          }
-        }
-      }
-      if (entering < 0) return LpStatus::kOptimal;
-
-      // Ratio test.
-      int leaving = -1;
-      double best_ratio = kLpInfinity;
-      for (int i = 0; i < m_; ++i) {
-        const double* row = row_at(i);
-        const double a = row[entering];
-        if (a > tol) {
-          const double ratio = row[total_cols_] / a;
-          if (ratio < best_ratio - tol ||
-              (ratio < best_ratio + tol && leaving >= 0 &&
-               basis_[i] < basis_[leaving])) {
-            best_ratio = ratio;
-            leaving = i;
-          }
-        }
-      }
-      if (leaving < 0) return LpStatus::kUnbounded;
-      pivot(leaving, entering);
-    }
-    return LpStatus::kIterationLimit;
+    price_end_ = first_artificial_;
   }
 
   // Gauss-Jordan pivot touching only the pivot row's nonzero columns: a
@@ -443,7 +375,7 @@ class Tableau {
   void pivot(int row, int col) {
     double* prow = row_at(row);
     const double p = prow[col];
-    const int live_end = artificials_disabled_ ? first_artificial_ : total_cols_;
+    const int live_end = price_end_;
     nonzeros_.clear();
     for (int c = 0; c <= total_cols_; ++c) {
       if ((c >= live_end && c < total_cols_) || prow[c] == 0.0) continue;
@@ -464,19 +396,255 @@ class Tableau {
     basis_[row] = col;
   }
 
-  const LpModel& model_;
-  const Transformed& t_;
-  SimplexOptions options_;
-  int structural_cols_;
-  int m_;
-  int total_cols_ = 0;
-  int first_artificial_ = 0;
   std::size_t stride_ = 1;
-  bool artificials_disabled_ = false;
   std::vector<double> a_;
-  std::vector<double> obj_;
-  std::vector<int> basis_;
   std::vector<int> nonzeros_;  // pivot(): columns where the pivot row is nonzero
+};
+
+// The warm path: rows as (column, value) lists without artificial columns
+// (nothing reads them once a basis is installed), a row list per column so
+// a pivot visits only the rows it changes, and a dense rhs. A warm pivot
+// row holds ~9 nonzeros and ~7 other rows share its column, so this is
+// O(nnz) work where the dense store scans every row. One instance per
+// thread is reloaded by every warm solve, so the lists keep their capacity.
+//
+// It reproduces the dense kernel bit for bit: the same arithmetic runs on
+// every stored entry, a missing entry is the dense store's zero (0.0 minus
+// the update is what the dense store computes there), and every scan that
+// picks a row or column breaks ties towards the lowest index, as the dense
+// store's ascending scans do.
+class SparseTableau : public Simplex<SparseTableau> {
+ public:
+  void load(const LpModel& model, const Transformed& t,
+            const SimplexOptions& options) {
+    layout(t, options, /*store_artificials=*/false);
+    const auto cols = static_cast<std::size_t>(first_artificial_);
+    if (rows_.size() < static_cast<std::size_t>(m_)) rows_.resize(m_);
+    if (col_rows_.size() < cols) col_rows_.resize(cols);
+    for (int i = 0; i < m_; ++i) rows_[i].clear();
+    for (std::size_t c = 0; c < cols; ++c) col_rows_[c].clear();
+    if (pivot_value_.size() < cols) {
+      pivot_value_.resize(cols);
+      in_pivot_.resize(cols, 0);
+      touched_.resize(cols, 0);
+    }
+    rhs_ = t.rhs;
+    starting_rows(model, t, [&](int i, int c, double v) {
+      rows_[i].push_back({c, v});
+      col_rows_[c].push_back(i);
+    });
+  }
+
+  // Installs `target` (a previous solve's basis) by crash pivots, skipping
+  // phase 1 entirely, and repairs it into a primal-feasible basis by dual
+  // simplex when the rhs has moved since the basis was cut. Returns false
+  // when the basis does not fit this tableau, an artificial stays basic
+  // above zero, the dual finds a row that proves the LP infeasible, or the
+  // iteration limit is hit; the caller then cold-solves on a dense tableau.
+  bool try_warm(const std::vector<int>& target, const std::vector<double>& cost,
+                SimplexStats* stats) {
+    if (static_cast<int>(target.size()) != m_) return false;
+    in_target_.assign(total_cols_, 0);
+    for (const int c : target) {
+      if (c < 0 || c >= total_cols_ || in_target_[c] != 0) return false;
+      in_target_[c] = 1;
+    }
+    is_basic_.assign(total_cols_, 0);
+    for (const int c : basis_) is_basic_[c] = 1;
+    for (int r = 0; r < m_; ++r) {
+      // Every artificial starts basic, so c is a stored column past here.
+      const int c = target[r];
+      if (is_basic_[c] != 0) continue;  // initial slack that stays basic
+      // Bring column c into the basis against a row whose current basic
+      // column is not wanted, preferring the largest pivot for stability.
+      int pivot_row = -1;
+      double best = 1e-7;
+      for (const int i : col_rows_[c]) {
+        if (in_target_[basis_[i]] != 0) continue;
+        const double a = std::abs(entry(i, c));
+        if (a > best || (a == best && i < pivot_row)) {
+          best = a;
+          pivot_row = i;
+        }
+      }
+      if (pivot_row < 0) return false;  // numerically dependent: cold-solve
+      is_basic_[basis_[pivot_row]] = 0;
+      pivot(pivot_row, c);
+      if (stats != nullptr) ++stats->crash_pivots;
+      is_basic_[c] = 1;
+    }
+    if (!dual_repair(cost, stats)) return false;
+    // Primal feasibility at the repaired basis: rounding dust below zero is
+    // clamped, and no artificial may stay basic above noise level.
+    for (int i = 0; i < m_; ++i) {
+      double& rhs = rhs_[i];
+      if (rhs < 0.0) rhs = 0.0;
+      if (basis_[i] >= first_artificial_ && rhs > 1e-7) return false;
+    }
+    return true;
+  }
+
+ private:
+  friend class Simplex<SparseTableau>;
+
+  struct Entry {
+    int col;
+    double value;
+  };
+
+  [[nodiscard]] double rhs(int i) const noexcept { return rhs_[i]; }
+  template <class F>
+  void for_row(int i, F f) const {
+    for (const Entry& e : rows_[i]) f(e.col, e.value);
+  }
+  template <class F>
+  void for_column(int c, F f) {
+    std::vector<int>& rows = col_rows_[c];
+    std::sort(rows.begin(), rows.end());
+    for (const int i : rows) f(i, entry(i, c));
+  }
+  // Row i's coefficient in column c (zero when not stored).
+  [[nodiscard]] double entry(int i, int c) const noexcept {
+    for (const Entry& e : rows_[i]) {
+      if (e.col == c) return e.value;
+    }
+    return 0.0;
+  }
+
+  // Dual simplex from the crashed basis until no rhs is below -1e-7. The
+  // reduced costs are those of `cost`, with negative ones clamped to zero
+  // (cost shifting) so the basis starts dual feasible; phase 2 then prices
+  // the true costs again, so the shift never reaches the answer. Returns
+  // false on a row with no entering column (the LP is infeasible) or at the
+  // iteration limit.
+  bool dual_repair(const std::vector<double>& cost, SimplexStats* stats) {
+    const auto most_negative_row = [&](bool bland) {
+      int row = -1;
+      double worst = -1e-7;
+      for (int i = 0; i < m_; ++i) {
+        const double rhs = rhs_[i];
+        if (rhs >= -1e-7) continue;
+        if (bland ? row < 0 || basis_[i] < basis_[row] : rhs < worst) {
+          worst = rhs;
+          row = i;
+        }
+      }
+      return row;
+    };
+    if (most_negative_row(false) < 0) return true;
+
+    const double tol = options_.tolerance;
+    build_objective(cost);
+    bool shifted = false;
+    for (int c = 0; c < price_end_; ++c) {
+      if (obj_[c] < 0.0) {
+        shifted = shifted || obj_[c] < -tol;
+        obj_[c] = 0.0;
+      }
+    }
+    if (shifted && stats != nullptr) ++stats->cost_shifts;
+
+    for (std::uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
+      const int leaving = most_negative_row(iter >= options_.bland_after);
+      if (leaving < 0) return true;
+      int entering = -1;
+      double best_ratio = kLpInfinity;
+      for (const Entry& e : rows_[leaving]) {
+        if (e.value < -tol) {
+          const double ratio = obj_[e.col] / -e.value;
+          if (ratio < best_ratio || (ratio == best_ratio && e.col < entering)) {
+            best_ratio = ratio;
+            entering = e.col;
+          }
+        }
+      }
+      if (entering < 0) return false;
+      pivot(leaving, entering);
+      if (stats != nullptr) {
+        ++stats->iterations;
+        ++stats->dual_pivots;
+      }
+    }
+    return false;
+  }
+
+  // Gauss-Jordan pivot over the rows holding column `col`. Entries that
+  // cancel to zero stay stored, as zeros, so the lists only grow between
+  // pivots on their column.
+  void pivot(int row, int col) {
+    std::vector<Entry>& prow = rows_[row];
+    double p = 0.0;
+    for (const Entry& e : prow) {
+      if (e.col == col) {
+        p = e.value;
+        break;
+      }
+    }
+    ++pivot_stamp_;
+    pivot_cols_.clear();
+    for (Entry& e : prow) {
+      if (e.value == 0.0) continue;
+      // The pivot itself becomes exactly 1, without rounding residue.
+      e.value = e.col == col ? 1.0 : e.value / p;
+      if (e.value == 0.0) continue;
+      pivot_cols_.push_back(e.col);
+      pivot_value_[e.col] = e.value;
+      in_pivot_[e.col] = pivot_stamp_;
+    }
+    double& prhs = rhs_[row];
+    if (prhs != 0.0) prhs /= p;
+    const double pivot_rhs = prhs;
+
+    std::vector<int>& col_rows = col_rows_[col];
+    for (const int i : col_rows) {
+      if (i == row) continue;
+      std::vector<Entry>& r = rows_[i];
+      std::size_t k = 0;
+      while (r[k].col != col) ++k;
+      const double factor = r[k].value;
+      r[k] = r.back();
+      r.pop_back();
+      if (factor == 0.0) continue;
+      ++touch_stamp_;
+      for (Entry& e : r) {
+        if (in_pivot_[e.col] != pivot_stamp_) continue;
+        e.value -= factor * pivot_value_[e.col];
+        touched_[e.col] = touch_stamp_;
+      }
+      for (const int c : pivot_cols_) {
+        if (c == col || touched_[c] == touch_stamp_) continue;
+        double v = 0.0;
+        v -= factor * pivot_value_[c];
+        r.push_back({c, v});
+        col_rows_[c].push_back(i);
+      }
+      if (pivot_rhs != 0.0) rhs_[i] -= factor * pivot_rhs;
+    }
+    col_rows.assign(1, row);
+
+    const double factor = obj_[col];
+    if (factor != 0.0) {
+      for (const int c : pivot_cols_) obj_[c] -= factor * pivot_value_[c];
+      if (pivot_rhs != 0.0) obj_.back() -= factor * pivot_rhs;
+      obj_[col] = 0.0;
+    }
+    basis_[row] = col;
+  }
+
+  std::vector<std::vector<Entry>> rows_;
+  std::vector<std::vector<int>> col_rows_;
+  std::vector<double> rhs_;
+  // pivot() scratch, indexed by column: the scaled pivot row, and stamps
+  // marking the pivot row's columns and those already updated in the row
+  // being eliminated.
+  std::vector<double> pivot_value_;
+  std::vector<std::uint64_t> in_pivot_;
+  std::vector<std::uint64_t> touched_;
+  std::uint64_t pivot_stamp_ = 0;
+  std::uint64_t touch_stamp_ = 0;
+  std::vector<int> pivot_cols_;
+  std::vector<char> in_target_;  // try_warm() scratch, indexed by column
+  std::vector<char> is_basic_;
 };
 
 }  // namespace
@@ -489,40 +657,42 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
 
   std::vector<double> columns;
   double objective = 0.0;
-  Tableau tableau(model, t, options);
-  const bool try_basis =
-      warm != nullptr && warm->valid() && warm->signature == signature;
-  if (try_basis && tableau.try_warm(warm->basis, t.cost, stats) &&
-      tableau.solve_phase2(t.cost, columns, objective, stats) ==
-          LpStatus::kOptimal) {
-    if (stats != nullptr) stats->warm_started = true;
-  } else {
-    if (try_basis) {
-      // A reconstruction that went sideways must not degrade the answer,
-      // only the speed: start over from the slack/artificial basis.
-      if (stats != nullptr) ++stats->warm_failed;
-      tableau.reset();
+  auto finish = [&](const std::vector<int>& basis) {
+    result.status = LpStatus::kOptimal;
+    if (warm != nullptr) {
+      warm->signature = signature;
+      warm->basis = basis;
     }
-    result.status = tableau.solve(t.cost, columns, objective, stats);
-    if (result.status != LpStatus::kOptimal) return result;
-  }
-  result.status = LpStatus::kOptimal;
-  if (warm != nullptr) {
-    warm->signature = signature;
-    warm->basis = tableau.basis();
-  }
+    // Map structural columns back to model variables.
+    result.values.assign(model.variable_count(), 0.0);
+    for (std::size_t c = 0; c < t.columns.size(); ++c) {
+      result.values[t.columns[c].model_var] += t.columns[c].sign * columns[c];
+    }
+    for (int j = 0; j < model.variable_count(); ++j) {
+      result.values[j] += t.offsets[j];
+    }
+    const double min_objective = objective + t.cost_constant;
+    result.objective = t.flip_objective ? -min_objective : min_objective;
+    return result;
+  };
 
-  // Map structural columns back to model variables.
-  result.values.assign(model.variable_count(), 0.0);
-  for (std::size_t c = 0; c < t.columns.size(); ++c) {
-    result.values[t.columns[c].model_var] += t.columns[c].sign * columns[c];
+  if (warm != nullptr && warm->valid() && warm->signature == signature) {
+    thread_local SparseTableau sparse;
+    sparse.load(model, t, options);
+    if (sparse.try_warm(warm->basis, t.cost, stats) &&
+        sparse.solve_phase2(t.cost, columns, objective, stats) ==
+            LpStatus::kOptimal) {
+      if (stats != nullptr) stats->warm_started = true;
+      return finish(sparse.basis());
+    }
+    // A reconstruction that went sideways must not degrade the answer,
+    // only the speed: cold-solve from the slack/artificial basis.
+    if (stats != nullptr) ++stats->warm_failed;
   }
-  for (int j = 0; j < model.variable_count(); ++j) {
-    result.values[j] += t.offsets[j];
-  }
-  const double min_objective = objective + t.cost_constant;
-  result.objective = t.flip_objective ? -min_objective : min_objective;
-  return result;
+  DenseTableau dense(model, t, options);
+  result.status = dense.solve(t.cost, columns, objective, stats);
+  if (result.status != LpStatus::kOptimal) return result;
+  return finish(dense.basis());
 }
 
 }  // namespace slate

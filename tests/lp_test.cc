@@ -510,6 +510,146 @@ TEST(SimplexDifferential, WarmFromPerturbedBasis) {
   EXPECT_GT(infeasible_fallbacks, 0);
 }
 
+// A generalized min-cost flow LP shaped like the routing LP: one column per
+// arc with a gain on arrival, a conservation row at every node (=, or >= /
+// <= with some slack), <= bundle rows that share capacity across a few
+// arcs, and boxed or fixed arcs. The rows are built around a random flow,
+// so the LP is feasible. Crash pivots on such rows fill in, which small
+// dense LPs never show.
+LpModel network_lp(Rng& rng) {
+  const int arcs = uniform_int(rng, 40, 150);
+  const int nodes = arcs / 4;
+  LpModel lp;
+  std::vector<std::vector<LinearTerm>> node_terms(nodes);
+  std::vector<double> balance(nodes, 0.0);
+  std::vector<double> flow(arcs);
+  for (int e = 0; e < arcs; ++e) {
+    const int from = uniform_int(rng, 0, nodes - 1);
+    int to = uniform_int(rng, 0, nodes - 2);
+    if (to >= from) ++to;
+    const double gain = rng.uniform(0.8, 1.2);
+    const double cost = rng.uniform(1.0, 10.0);
+    if (rng.bernoulli(0.1)) {
+      flow[e] = uniform_int(rng, 0, 5);
+      lp.add_variable(flow[e], flow[e], cost);
+    } else {
+      const double cap = rng.uniform(2.0, 20.0);
+      flow[e] = rng.uniform(0.0, cap);
+      lp.add_variable(0.0, cap, cost);
+    }
+    node_terms[from].push_back({e, 1.0});
+    node_terms[to].push_back({e, -gain});
+    balance[from] += flow[e];
+    balance[to] -= gain * flow[e];
+  }
+  for (int v = 0; v < nodes; ++v) {
+    if (node_terms[v].empty()) continue;
+    switch (uniform_int(rng, 0, 3)) {
+      case 0:
+        lp.add_constraint(node_terms[v], Relation::kGreaterEqual,
+                          balance[v] - rng.uniform(0.0, 3.0));
+        break;
+      case 1:
+        lp.add_constraint(node_terms[v], Relation::kLessEqual,
+                          balance[v] + rng.uniform(0.0, 3.0));
+        break;
+      default:
+        lp.add_constraint(node_terms[v], Relation::kEqual, balance[v]);
+        break;
+    }
+  }
+  for (int b = 0; b < nodes / 3; ++b) {
+    std::vector<LinearTerm> terms;
+    double load = 0.0;
+    for (int k = uniform_int(rng, 3, 8); k > 0; --k) {
+      const int e = uniform_int(rng, 0, arcs - 1);
+      const double w = rng.uniform(0.5, 2.0);
+      terms.push_back({e, w});
+      load += w * flow[e];
+    }
+    lp.add_constraint(std::move(terms), Relation::kLessEqual,
+                      load + rng.uniform(0.0, 5.0));
+  }
+  return lp;
+}
+
+// The next control period of a network_lp: costs (by up to ±cost_spread),
+// capacities, gains and rhs jittered, with the same simplex layout (bound
+// shapes, relations and the sign of every offset-shifted rhs).
+LpModel perturb_network(const LpModel& a, Rng& rng, double cost_spread) {
+  LpModel b;
+  for (int j = 0; j < a.variable_count(); ++j) {
+    const double lo = a.lower_bound(j);
+    const double hi = a.upper_bound(j);
+    b.add_variable(lo, hi == lo ? hi : hi * rng.uniform(0.9, 1.1),
+                   a.objective_coefficient(j) *
+                       rng.uniform(1.0 - cost_spread, 1.0 + cost_spread));
+  }
+  for (const auto& row : a.rows()) {
+    std::vector<LinearTerm> terms = row.terms;
+    double shifted = row.rhs;
+    for (LinearTerm& t : terms) {
+      shifted -= t.coeff * a.lower_bound(t.var);
+      if (t.coeff != 1.0) t.coeff *= rng.uniform(0.95, 1.05);
+    }
+    double rhs = shifted + rng.uniform(-1.0, 1.0);
+    rhs = shifted < 0.0 ? std::min(rhs, -1e-3) : std::max(rhs, 0.0);
+    for (const LinearTerm& t : terms) rhs += t.coeff * b.lower_bound(t.var);
+    b.add_constraint(std::move(terms), row.rel, rhs);
+  }
+  return b;
+}
+
+TEST(SimplexDifferential, WarmMatchesColdOnNetworkLps) {
+  // Each trial warm-solves a jittered copy B of a network LP A and
+  // cold-solves it. The warm basis is A's optimal basis (the control loop's
+  // case), the optimal basis of a copy of A with very different costs (many
+  // pivots from B's optimum), or A's basis with one basic column swapped
+  // for a nonbasic arc (usually singular, so the warm start falls back).
+  // Both paths must agree on the status and the objective, and the warm
+  // point must satisfy every row and bound.
+  Rng rng(20261020);
+  int resumed = 0;
+  int repaired = 0;
+  int fallbacks = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const LpModel a = network_lp(rng);
+    const int mode = uniform_int(rng, 0, 3);
+    SimplexBasis basis;
+    const LpModel basis_source = mode == 2 ? perturb_network(a, rng, 0.9) : a;
+    ASSERT_TRUE(solve_lp(basis_source, {}, nullptr, &basis).ok())
+        << "trial " << trial;
+    if (mode == 3) {
+      const int c = uniform_int(rng, 0, a.variable_count() - 1);
+      if (std::find(basis.basis.begin(), basis.basis.end(), c) ==
+          basis.basis.end()) {
+        basis.basis[uniform_int(rng, 0, static_cast<int>(basis.basis.size()) - 1)] = c;
+      }
+    }
+    const LpModel b = perturb_network(a, rng, 0.1);
+
+    SimplexStats stats;
+    const LpSolution warm = solve_lp(b, {}, &stats, &basis);
+    const LpSolution cold = solve_lp(b);
+    // Same layout, so the basis is always tried.
+    ASSERT_TRUE(stats.warm_started || stats.warm_failed > 0) << "trial " << trial;
+    if (stats.warm_started) ++resumed;
+    if (stats.warm_started && stats.dual_pivots > 0) ++repaired;
+    fallbacks += static_cast<int>(stats.warm_failed);
+    ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
+    if (!cold.ok()) continue;
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-6 * std::max(1.0, std::abs(cold.objective)))
+        << "trial " << trial;
+    EXPECT_TRUE(b.is_feasible(warm.values, 1e-6)) << "trial " << trial;
+  }
+  // Every branch of the warm path is reached: resumed bases, dual repairs
+  // and fallbacks to a cold solve.
+  EXPECT_GE(resumed, 140);
+  EXPECT_GE(repaired, 100);
+  EXPECT_GT(fallbacks, 0);
+}
+
 TEST(SimplexDifferential, MilpMatchesIntegerEnumeration) {
   Rng rng(7919);
   int feasible = 0;

@@ -733,6 +733,102 @@ TEST(OptimizerWarmStart, ServiceTimeAndCapacityChangesRepairWithoutFallback) {
   EXPECT_GT(cost_shifts, 0u);
 }
 
+TEST(OptimizerWarmStart, BenchmarkScalePlansAndPivotsPinned) {
+  // The benchmark's 30-cluster / 200-service world with 12 classes, split
+  // into class groups as the global controller splits it. One cold solve,
+  // then periods that walk demand by ±2%, move the fitted service times by
+  // ±10% and change the live server counts; the last two change constraint
+  // coefficients under the crash pivots that reinstall each group's basis.
+  // Every rule weight bit and the pivot, crash, dual and warm-group counts
+  // of every period are pinned, so a kernel change that alters one pivot
+  // or one plan bit at this scale fails.
+  TopoGenOptions options = parse_topogen_spec("clusters=30,services=200,seed=11");
+  options.classes = 12;
+  const Scenario scenario = make_synth_scenario(options);
+  const std::size_t S = scenario.app->service_count();
+  const std::size_t C = scenario.topology->cluster_count();
+  RouteOptimizer optimizer(*scenario.app, *scenario.deployment,
+                           *scenario.topology);
+  LatencyModel model = LatencyModel::from_application(*scenario.app, C);
+  FlatMatrix<double> demand(scenario.app->class_count(), C, 0.0);
+  for (const auto& stream : scenario.demand.streams()) {
+    demand(stream.cls.index(), stream.cluster.index()) +=
+        scenario.demand.rate_at(stream.cls, stream.cluster, 0.0);
+  }
+  std::vector<unsigned> live(S * C, 0);
+
+  enum class Move { kCold, kDemand, kServiceTime, kLiveServers };
+  struct Pin {
+    Move move;
+    std::uint64_t digest;
+    std::uint64_t iterations;
+    std::uint64_t crash_pivots;
+    std::uint64_t dual_pivots;
+    std::size_t warm_groups;
+  };
+  const Pin expected[] = {
+      {Move::kCold, 0x28dfd3ce3f5ddeb5ull, 2152, 0, 0, 0},
+      {Move::kDemand, 0xc661fe52892fb8b2ull, 11, 984, 1, 10},
+      {Move::kDemand, 0xca80e296ca645308ull, 13, 984, 3, 10},
+      {Move::kServiceTime, 0x366b5bb2aac23e53ull, 53, 984, 17, 10},
+      {Move::kDemand, 0x7ed3fce79fb29ull, 12, 981, 2, 10},
+      {Move::kLiveServers, 0xa04c41b4abe4e739ull, 208, 981, 198, 10},
+      {Move::kDemand, 0xce239f28b6882f92ull, 11, 987, 1, 10},
+      {Move::kServiceTime, 0xf52d5396e3e7f14full, 49, 987, 14, 10},
+      {Move::kLiveServers, 0xff07367bb3ad50d6ull, 230, 987, 220, 10},
+  };
+  OptimizerCache cache;
+  Rng rng(17);
+  for (std::size_t step = 0; step < std::size(expected); ++step) {
+    switch (expected[step].move) {
+      case Move::kCold:
+        break;
+      case Move::kDemand:
+        for (std::size_t k = 0; k < demand.rows(); ++k) {
+          for (std::size_t c = 0; c < C; ++c) {
+            demand(k, c) *= rng.uniform(0.98, 1.02);
+          }
+        }
+        break;
+      case Move::kServiceTime:
+        for (std::size_t s = 0; s < S; ++s) {
+          for (std::size_t k = 0; k < scenario.app->class_count(); ++k) {
+            for (std::size_t c = 0; c < C; ++c) {
+              const ServiceId svc{s};
+              const double t = model.service_time(svc, ClassId{k}, ClusterId{c});
+              model.set_service_time(svc, ClassId{k}, ClusterId{c},
+                                     t * rng.uniform(0.9, 1.1));
+            }
+          }
+        }
+        break;
+      case Move::kLiveServers:
+        for (std::size_t s = 0; s < S; ++s) {
+          for (std::size_t c = 0; c < C; ++c) {
+            const unsigned base =
+                scenario.deployment->servers(ServiceId{s}, ClusterId{c});
+            if (base > 1) {
+              live[s * C + c] = base - 1 + static_cast<unsigned>(rng.uniform_u64(3));
+            }
+          }
+        }
+        break;
+    }
+    const OptimizerResult result =
+        optimizer.optimize(model, demand, &live, &cache);
+    ASSERT_TRUE(result.ok()) << "step " << step;
+    const SimplexStats& stats = result.simplex_stats;
+    EXPECT_EQ(rule_digest(result, scenario), expected[step].digest)
+        << "step " << step << std::hex << " digest 0x"
+        << rule_digest(result, scenario);
+    EXPECT_EQ(stats.iterations, expected[step].iterations) << "step " << step;
+    EXPECT_EQ(stats.crash_pivots, expected[step].crash_pivots) << "step " << step;
+    EXPECT_EQ(stats.dual_pivots, expected[step].dual_pivots) << "step " << step;
+    EXPECT_EQ(result.warm_groups, expected[step].warm_groups) << "step " << step;
+    EXPECT_GT(result.solve_groups, 1u) << "step " << step;
+  }
+}
+
 TEST(OptimizerDecompose, DisjointClassesMatchWholeProblem) {
   // shared_fraction=0 makes every class's service set private, so the
   // partition splits into one group per class. The decomposed solve must
