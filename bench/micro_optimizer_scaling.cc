@@ -20,7 +20,8 @@
 //
 // Writes the committed-baseline JSON format consumed by
 // tools/check_bench_regression.py (metric: solves_per_sec). `max_clusters`
-// caps the case list for CI smoke runs (e.g. 20 skips the 30x200 world).
+// caps the case list for CI smoke runs (e.g. 20 skips the 30x200 world);
+// the JSON's "skipped_cases" names the cases the cap left out.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -113,12 +114,17 @@ int main(int argc, char** argv) {
       {5, 20, 4}, {10, 50, 8}, {20, 100, 8}, {30, 200, 12}};
 
   std::vector<Row> rows;
+  std::vector<std::string> skipped;
   std::printf("%-14s %-10s %12s %14s %9s\n", "case", "arm", "solve_ms",
               "solves_per_s", "gap_pct");
   for (const Case& c : cases) {
+    const std::string case_name = "c" + std::to_string(c.clusters) + "-s" +
+                                  std::to_string(c.services) + "-k" +
+                                  std::to_string(c.classes);
     if (c.clusters > max_clusters) {
-      std::printf("# skipping c%zu-s%zu-k%zu (max_clusters=%zu)\n", c.clusters,
-                  c.services, c.classes, max_clusters);
+      std::printf("# skipping %s (max_clusters=%zu)\n", case_name.c_str(),
+                  max_clusters);
+      skipped.push_back(case_name);
       continue;
     }
     TopoGenOptions options;
@@ -128,9 +134,6 @@ int main(int argc, char** argv) {
     options.classes = c.classes;
     options.total_rps = 100.0 * static_cast<double>(c.clusters);
     const Scenario scenario = make_synth_scenario(options);
-    const std::string case_name = "c" + std::to_string(c.clusters) + "-s" +
-                                  std::to_string(c.services) + "-k" +
-                                  std::to_string(c.classes);
 
     const LatencyModel model = LatencyModel::from_application(
         *scenario.app, scenario.topology->cluster_count());
@@ -218,6 +221,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(out, "{\n  \"bench\": \"micro_optimizer_scaling\",\n");
+    // Cases left out by max_clusters, so the regression check can tell a
+    // capped run from a dropped case.
+    std::fprintf(out, "  \"skipped_cases\": [");
+    for (std::size_t i = 0; i < skipped.size(); ++i) {
+      std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "", skipped[i].c_str());
+    }
+    std::fprintf(out, "],\n");
     std::fprintf(out, "  \"runs\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];

@@ -11,7 +11,8 @@
 //   --policy=<local|rr|failover|static|waterfall|slate>   (default slate)
 //   --duration=<seconds>   --warmup=<seconds>      (default 60 / 15)
 //   --seed=<n>                                     (default 1)
-//   --cost-weight=<w>      SLATE egress-cost weight (default 1)
+//   --cost-weight=<w>      SLATE egress-cost weight (default 1); one weight
+//                          for the LP, --fast and every solver-guard rung
 //   --fast                 SLATE: use the descent heuristic, not the LP
 //   --autoscale            enable the per-station autoscaler
 //   --timeout=<seconds>    per-call timeout (enables failure handling)

@@ -1,7 +1,8 @@
 #include "contingency/headroom_planner.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "core/plan_model.h"
 
 namespace slate {
 
@@ -18,18 +19,11 @@ double HeadroomPlanner::failure_max_utilization(
   const std::size_t K = app_->class_count();
   const std::size_t S = app_->service_count();
   const std::size_t f = failed.index();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument(
-        "failure_max_utilization: demand shape mismatch");
-  }
+  // Root arrivals: front-door anycast over alive entry clusters. Demand
+  // with no alive entry left is lost, not rerouted.
+  const FlatMatrix<double> eff_demand =
+      front_door_demand(*app_, *deployment_, *topology_, demand, failed);
 
-  auto servers_at = [&](std::size_t s, std::size_t c) -> double {
-    if (live_servers != nullptr && s * C + c < live_servers->size() &&
-        (*live_servers)[s * C + c] > 0) {
-      return static_cast<double>((*live_servers)[s * C + c]);
-    }
-    return deployment_->servers(ServiceId{s}, ClusterId{c});
-  };
   auto alive_subset = [&](const std::vector<ClusterId>& clusters) {
     std::vector<ClusterId> alive;
     alive.reserve(clusters.size());
@@ -45,20 +39,7 @@ double HeadroomPlanner::failure_max_utilization(
     const CallGraph& graph = app_->traffic_class(ClassId{k}).graph;
     const std::size_t N = graph.node_count();
     std::vector<std::vector<double>> arrivals(N, std::vector<double>(C, 0.0));
-
-    // Root arrivals: front-door anycast over alive entry clusters. Demand
-    // with no alive entry left is lost, not rerouted.
-    const ServiceId entry = app_->entry_service(ClassId{k});
-    const auto entry_alive = alive_subset(deployment_->clusters_for(entry));
-    for (std::size_t c = 0; c < C; ++c) {
-      const double d = demand(k, c);
-      if (d <= 0.0) continue;
-      if (c != f && deployment_->is_deployed(entry, ClusterId{c})) {
-        arrivals[0][c] += d;
-      } else if (!entry_alive.empty()) {
-        arrivals[0][topology_->nearest(ClusterId{c}, entry_alive).index()] += d;
-      }
-    }
+    for (std::size_t c = 0; c < C; ++c) arrivals[0][c] = eff_demand(k, c);
 
     for (std::size_t n = 0; n < N; ++n) {
       if (n > 0) {
@@ -98,7 +79,8 @@ double HeadroomPlanner::failure_max_utilization(
         utilization[svc.index() * C + c] +=
             arrivals[n][c] *
             model.service_time(svc, ClassId{k}, ClusterId{c}) /
-            servers_at(svc.index(), c);
+            static_cast<double>(station_server_count(
+                *deployment_, live_servers, svc, ClusterId{c}));
       }
     }
   }

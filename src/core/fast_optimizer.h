@@ -12,8 +12,10 @@
 // all, it is orders of magnitude faster than the simplex on large instances
 // (bench/ablation_fast_optimizer measures the speed/quality frontier).
 //
-// The result type is shared with RouteOptimizer, so GlobalController can use
-// either interchangeably.
+// The result type and the plan-cost model (core/plan_model.h: the cost
+// weight, the utilization cap, edge costs, anycast and live servers) are
+// shared with RouteOptimizer, so GlobalController can use either
+// interchangeably.
 #pragma once
 
 #include "core/optimizer.h"
@@ -27,17 +29,15 @@ struct FastOptimizerOptions {
   double step = 0.10;
   // Stop when a sweep improves the objective by less than this fraction.
   double relative_tolerance = 1e-4;
-  // Utilization treated as saturation in the marginal cost (matches the
-  // exact optimizer's planning cap).
-  double max_utilization = 0.95;
-  // Same meaning as OptimizerOptions::cost_weight.
-  double cost_weight = 1.0;
 };
 
 class FastRouteOptimizer {
  public:
+  // `plan` supplies the objective's cost weight and utilization cap, as for
+  // RouteOptimizer; its LP-only fields are ignored.
   FastRouteOptimizer(const Application& app, const Deployment& deployment,
-                     const Topology& topology, FastOptimizerOptions options = {});
+                     const Topology& topology, FastOptimizerOptions options = {},
+                     const OptimizerOptions& plan = {});
 
   // Same contract as RouteOptimizer::optimize. `status` is kOptimal when
   // descent converged (it cannot prove optimality; the name keeps the
@@ -55,6 +55,7 @@ class FastRouteOptimizer {
   const Application* app_;
   const Deployment* deployment_;
   const Topology* topology_;
+  OptimizerOptions plan_;
   FastOptimizerOptions options_;
 };
 

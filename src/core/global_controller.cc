@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/plan_model.h"
 #include "core/routing_rules.h"
 #include "util/logging.h"
 #include "workload/demand.h"
@@ -25,8 +26,8 @@ GlobalController::GlobalController(const Application& app,
                                 topology.cluster_count())),
       fitter_(options.fitter),
       optimizer_(app, deployment, topology, options.optimizer),
-      fast_optimizer_(app, deployment, topology, options.fast_optimizer),
-      ripup_optimizer_(app, deployment, topology, options.ripup),
+      fast_optimizer_(app, deployment, topology, {}, options.optimizer),
+      ripup_optimizer_(app, deployment, topology, {}, options.optimizer),
       store_(app.service_count(), app.class_count(), topology.cluster_count(),
              options.sample_capacity),
       demand_(app.class_count(), topology.cluster_count(), 0.0),
@@ -102,11 +103,8 @@ void GlobalController::set_capacity_overlay(const std::vector<unsigned>& overlay
 }
 
 double GlobalController::planned_servers(ServiceId s, ClusterId c) const {
-  const std::size_t i = s.index() * topology_->cluster_count() + c.index();
-  if (i < planned_capacity_.size() && planned_capacity_[i] > 0) {
-    return static_cast<double>(planned_capacity_[i]);
-  }
-  return static_cast<double>(deployment_->servers(s, c));
+  return static_cast<double>(
+      station_server_count(*deployment_, &planned_capacity_, s, c));
 }
 
 const std::vector<unsigned>* GlobalController::capacity_view() {
@@ -135,9 +133,7 @@ const std::vector<unsigned>* GlobalController::capacity_view() {
       // program stays feasible — the data plane's drain filter, not the
       // solver, performs the final cutoff.
       const unsigned base_servers =
-          (*base)[s * C + c] > 0
-              ? (*base)[s * C + c]
-              : deployment_->servers(ServiceId{s}, ClusterId{c});
+          station_server_count(*deployment_, base, ServiceId{s}, ClusterId{c});
       if (base_servers == 0) continue;
       scaled_live_[s * C + c] = std::max(
           1u, static_cast<unsigned>(static_cast<double>(base_servers) * scale));

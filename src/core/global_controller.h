@@ -49,14 +49,13 @@ struct GuardrailOptions {
 };
 
 struct GlobalControllerOptions {
+  // The plan-cost model of every solver rung: the exact LP, the descent and
+  // rip-up heuristics all plan at its cost_weight and max_utilization.
   OptimizerOptions optimizer;
   // Use the marginal-cost descent heuristic instead of the exact LP
   // (paper §5 scalability: ~100-1000x faster solves within a few percent of
   // the LP's plan quality — see bench/ablation_fast_optimizer).
   bool use_fast_optimizer = false;
-  FastOptimizerOptions fast_optimizer;
-  // The negotiated-congestion rip-up arm (solver guard rung 2).
-  RipupOptions ripup;
   FitterOptions fitter;
   GuardrailOptions guardrails;
   // Seed the latency model from the application spec ("offline profile");

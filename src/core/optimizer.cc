@@ -4,12 +4,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/plan_model.h"
 #include "lp/piecewise.h"
 
 namespace slate {
 namespace {
 
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
 constexpr double kZeroFlow = 1e-9;
 
 // Dense index helpers for the variable maps.
@@ -89,14 +89,10 @@ struct SolveContext {
   const LatencyModel& model;
   const FlatMatrix<double>& eff_demand;
   const std::vector<unsigned>* live_servers;
-  std::size_t C;
 
   [[nodiscard]] double servers_at(std::size_t s, std::size_t c) const {
-    if (live_servers != nullptr && s * C + c < live_servers->size() &&
-        (*live_servers)[s * C + c] > 0) {
-      return static_cast<double>((*live_servers)[s * C + c]);
-    }
-    return deployment.servers(ServiceId{s}, ClusterId{c});
+    return static_cast<double>(station_server_count(
+        deployment, live_servers, ServiceId{s}, ClusterId{c}));
   }
 };
 
@@ -111,7 +107,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
                      RoutingRuleSet& rules, std::vector<double>& plan_u,
                      std::vector<double>& plan_o, double& latency_per_sec,
                      double& egress_per_sec, double& server_per_sec) {
-  const std::size_t C = ctx.C;
+  const std::size_t C = ctx.deployment.cluster_count();
   const Application& app = ctx.app;
   const Deployment& deployment = ctx.deployment;
   const Topology& topology = ctx.topology;
@@ -150,19 +146,10 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           if (!deployment.is_deployed(svc, ClusterId{j})) continue;
           // Objective: network RTT (request out + response back) plus
           // weighted egress dollars per call.
-          double coeff = 0.0;
-          if (i != j) {
-            const ClusterId ci{i}, cj{j};
-            coeff += topology.one_way_latency(ci, cj) +
-                     topology.one_way_latency(cj, ci);
-            const double dollars_per_call =
-                (static_cast<double>(graph.node(n).request_bytes) *
-                     topology.egress_price_per_gb(ci, cj) +
-                 static_cast<double>(graph.node(n).response_bytes) *
-                     topology.egress_price_per_gb(cj, ci)) /
-                kBytesPerGb;
-            coeff += options.cost_weight * dollars_per_call;
-          }
+          const double coeff =
+              i == j ? 0.0
+                     : edge_cost(topology, graph.node(n), ClusterId{i},
+                                 ClusterId{j}, options.cost_weight);
           vars.x[k][n][i * C + j] = lp.add_variable(0.0, kLpInfinity, coeff);
         }
       }
@@ -344,9 +331,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           // No flow observed from this origin: deterministic fallback so the
           // data plane always has a complete rule.
           const ClusterId fallback =
-              deployment.is_deployed(svc, ClusterId{i})
-                  ? ClusterId{i}
-                  : topology.nearest(ClusterId{i}, candidates);
+              home_cluster(deployment, topology, svc, ClusterId{i}, candidates);
           weights.weights.assign(weights.weights.size(), 0.0);
           for (std::size_t wi = 0; wi < weights.clusters.size(); ++wi) {
             if (weights.clusters[wi] == fallback) weights.weights[wi] = 1.0;
@@ -387,15 +372,10 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           if (xv < 0 || i == j) continue;
           const double flow = solution.values[xv];
           if (flow <= 0.0) continue;
-          const ClusterId ci{i}, cj{j};
-          latency_per_sec += flow * (topology.one_way_latency(ci, cj) +
-                                     topology.one_way_latency(cj, ci));
-          egress_per_sec += flow *
-                            (static_cast<double>(graph.node(n).request_bytes) *
-                                 topology.egress_price_per_gb(ci, cj) +
-                             static_cast<double>(graph.node(n).response_bytes) *
-                                 topology.egress_price_per_gb(cj, ci)) /
-                            kBytesPerGb;
+          const EdgeTerms e =
+              edge_terms(topology, graph.node(n), ClusterId{i}, ClusterId{j});
+          latency_per_sec += flow * e.rtt;
+          egress_per_sec += flow * e.dollars;
         }
       }
     }
@@ -413,21 +393,7 @@ RouteOptimizer::RouteOptimizer(const Application& app,
       deployment_(&deployment),
       topology_(&topology),
       options_(options) {
-  if (deployment.cluster_count() != topology.cluster_count()) {
-    throw std::invalid_argument(
-        "RouteOptimizer: deployment/topology cluster count mismatch");
-  }
-  if (!(options_.max_utilization > 0.0 && options_.max_utilization < 1.0)) {
-    throw std::invalid_argument("RouteOptimizer: max_utilization must be in (0,1)");
-  }
-  if (options_.server_cost_weight > 0.0 &&
-      !(options_.server_price_target > 0.0 &&
-        options_.server_price_target < 1.0)) {
-    throw std::invalid_argument(
-        "RouteOptimizer: server_price_target must be in (0,1)");
-  }
-  app.validate();
-  deployment.validate();
+  validate_plan_model(app, deployment, topology, options_);
 }
 
 OptimizerResult RouteOptimizer::optimize(
@@ -436,9 +402,6 @@ OptimizerResult RouteOptimizer::optimize(
   const std::size_t C = deployment_->cluster_count();
   const std::size_t K = app_->class_count();
   const std::size_t S = app_->service_count();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument("RouteOptimizer: demand matrix shape mismatch");
-  }
 
   // Steady-state memo: when demand, the fitted model, and live capacity are
   // bit-identical to the previous solve, the previous plan IS the optimal
@@ -461,24 +424,8 @@ OptimizerResult RouteOptimizer::optimize(
   }
 
   OptimizerResult result;
-
-  // Effective demand: reassign demand at clusters lacking the entry service
-  // to the nearest cluster that has it (front-door anycast).
-  FlatMatrix<double> eff_demand(K, C, 0.0);
-  for (std::size_t k = 0; k < K; ++k) {
-    const ServiceId entry = app_->entry_service(ClassId{k});
-    const auto entry_clusters = deployment_->clusters_for(entry);
-    for (std::size_t c = 0; c < C; ++c) {
-      const double d = demand(k, c);
-      if (d <= 0.0) continue;
-      if (deployment_->is_deployed(entry, ClusterId{c})) {
-        eff_demand(k, c) += d;
-      } else {
-        const ClusterId fallback = topology_->nearest(ClusterId{c}, entry_clusters);
-        eff_demand(k, fallback.index()) += d;
-      }
-    }
-  }
+  const FlatMatrix<double> eff_demand =
+      front_door_demand(*app_, *deployment_, *topology_, demand);
 
   // Class groups. Anything that prevents decomposition — the MILP mode, the
   // option being off, or every class sharing one component — collapses to a
@@ -499,8 +446,8 @@ OptimizerResult RouteOptimizer::optimize(
   }
   if (cache != nullptr) cache->bases.resize(groups.size());
 
-  const SolveContext ctx{*app_,      *deployment_, *topology_, options_,
-                         model,      eff_demand,   live_servers, C};
+  const SolveContext ctx{*app_,  *deployment_, *topology_,   options_,
+                         model, eff_demand,   live_servers};
   auto rules = std::make_shared<RoutingRuleSet>();
   std::vector<double> plan_u(S * C, 0.0);
   std::vector<double> plan_o(S * C, 0.0);

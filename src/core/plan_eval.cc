@@ -1,16 +1,11 @@
 #include "core/plan_eval.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
+#include "core/plan_model.h"
 #include "lp/piecewise.h"
 
 namespace slate {
-
-namespace {
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
-}  // namespace
 
 double evaluate_plan_cost(const Application& app, const Deployment& deployment,
                           const Topology& topology, const LatencyModel& model,
@@ -21,17 +16,10 @@ double evaluate_plan_cost(const Application& app, const Deployment& deployment,
   const std::size_t C = deployment.cluster_count();
   const std::size_t K = app.class_count();
   const std::size_t S = app.service_count();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument("evaluate_plan_cost: demand shape mismatch");
-  }
-
-  auto servers_at = [&](std::size_t s, std::size_t c) -> double {
-    if (live_servers != nullptr && s * C + c < live_servers->size() &&
-        (*live_servers)[s * C + c] > 0) {
-      return static_cast<double>((*live_servers)[s * C + c]);
-    }
-    return deployment.servers(ServiceId{s}, ClusterId{c});
-  };
+  const FlatMatrix<double> eff_demand =
+      front_door_demand(app, deployment, topology, demand);
+  const std::vector<double> servers =
+      station_servers(app, deployment, live_servers);
 
   std::vector<double> utilization(S * C, 0.0);
   double network_cost = 0.0;
@@ -40,19 +28,7 @@ double evaluate_plan_cost(const Application& app, const Deployment& deployment,
     const CallGraph& graph = app.traffic_class(ClassId{k}).graph;
     const std::size_t N = graph.node_count();
     std::vector<std::vector<double>> arrivals(N, std::vector<double>(C, 0.0));
-
-    // Root arrivals: front-door anycast, same as the optimizers.
-    const ServiceId entry = app.entry_service(ClassId{k});
-    const auto entry_clusters = deployment.clusters_for(entry);
-    for (std::size_t c = 0; c < C; ++c) {
-      const double d = demand(k, c);
-      if (d <= 0.0) continue;
-      if (deployment.is_deployed(entry, ClusterId{c})) {
-        arrivals[0][c] += d;
-      } else {
-        arrivals[0][topology.nearest(ClusterId{c}, entry_clusters).index()] += d;
-      }
-    }
+    for (std::size_t c = 0; c < C; ++c) arrivals[0][c] = eff_demand(k, c);
 
     for (std::size_t n = 0; n < N; ++n) {
       if (n > 0) {
@@ -68,40 +44,23 @@ double evaluate_plan_cost(const Application& app, const Deployment& deployment,
             for (std::size_t wi = 0; wi < rule->clusters.size(); ++wi) {
               const double w = rule->weights[wi];
               if (w <= 0.0) continue;
-              const std::size_t j = rule->clusters[wi].index();
-              arrivals[n][j] += out * w;
-              if (i != j) {
-                const ClusterId ci{i}, cj{j};
-                network_cost +=
-                    out * w *
-                    (topology.one_way_latency(ci, cj) +
-                     topology.one_way_latency(cj, ci) +
-                     cost_weight *
-                         (static_cast<double>(graph.node(n).request_bytes) *
-                              topology.egress_price_per_gb(ci, cj) +
-                          static_cast<double>(graph.node(n).response_bytes) *
-                              topology.egress_price_per_gb(cj, ci)) /
-                         kBytesPerGb);
+              const ClusterId j = rule->clusters[wi];
+              arrivals[n][j.index()] += out * w;
+              if (j.index() != i) {
+                network_cost += out * w *
+                                edge_cost(topology, graph.node(n), ClusterId{i},
+                                          j, cost_weight);
               }
             }
           } else {
             // No rule: the data plane serves locally or at the nearest
             // deployment.
-            const ClusterId j = deployment.is_deployed(svc, ClusterId{i})
-                                    ? ClusterId{i}
-                                    : topology.nearest(ClusterId{i}, candidates);
+            const ClusterId j =
+                home_cluster(deployment, topology, svc, ClusterId{i}, candidates);
             arrivals[n][j.index()] += out;
             if (j.index() != i) {
-              const ClusterId ci{i};
-              network_cost +=
-                  out * (topology.one_way_latency(ci, j) +
-                         topology.one_way_latency(j, ci) +
-                         cost_weight *
-                             (static_cast<double>(graph.node(n).request_bytes) *
-                                  topology.egress_price_per_gb(ci, j) +
-                              static_cast<double>(graph.node(n).response_bytes) *
-                                  topology.egress_price_per_gb(j, ci)) /
-                             kBytesPerGb);
+              network_cost += out * edge_cost(topology, graph.node(n),
+                                              ClusterId{i}, j, cost_weight);
             }
           }
         }
@@ -111,18 +70,16 @@ double evaluate_plan_cost(const Application& app, const Deployment& deployment,
         if (arrivals[n][c] <= 0.0) continue;
         utilization[svc.index() * C + c] +=
             arrivals[n][c] * model.service_time(svc, ClassId{k}, ClusterId{c}) /
-            servers_at(svc.index(), c);
+            servers[svc.index() * C + c];
       }
     }
   }
 
   double station_cost = 0.0;
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t c = 0; c < C; ++c) {
-      const double u = utilization[s * C + c];
-      if (u <= 0.0) continue;
-      station_cost += servers_at(s, c) * (u + queue_cost(std::min(u, 0.999)));
-    }
+  for (std::size_t s = 0; s < S * C; ++s) {
+    const double u = utilization[s];
+    if (u <= 0.0) continue;
+    station_cost += servers[s] * (u + queue_cost(std::min(u, 0.999)));
   }
   return station_cost + network_cost;
 }

@@ -1,148 +1,22 @@
 #include "core/ripup_optimizer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
-#include "lp/piecewise.h"
+#include "core/plan_model.h"
 
 namespace slate {
-namespace {
-
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
-
-// Working state for one negotiation run. Weights are fractional in the data
-// structure (so the final load-shedding sweep can split), but the rounds
-// themselves only ever write 0/1.
-struct Negotiation {
-  const Application& app;
-  const Deployment& deployment;
-  const Topology& topology;
-  const LatencyModel& model;
-  const RipupOptions& options;
-
-  std::size_t C, K, S;
-  FlatMatrix<double> eff_demand;  // K x C
-  // weights[k][n][i * C + j]; -1 marks "not deployable".
-  std::vector<std::vector<std::vector<double>>> weights;
-  std::vector<std::vector<std::vector<double>>> arrivals;  // [k][n][c]
-  std::vector<double> utilization;                         // s * C + c
-  std::vector<double> servers;                             // s * C + c
-  std::vector<double> history;                             // s * C + c
-
-  [[nodiscard]] double servers_at(std::size_t s, std::size_t c) const {
-    return servers[s * C + c];
-  }
-
-  // Recomputes arrivals and utilizations from the weights.
-  void forward() {
-    for (auto& u : utilization) u = 0.0;
-    for (std::size_t k = 0; k < K; ++k) {
-      const CallGraph& graph = app.traffic_class(ClassId{k}).graph;
-      for (std::size_t n = 0; n < graph.node_count(); ++n) {
-        auto& a = arrivals[k][n];
-        std::fill(a.begin(), a.end(), 0.0);
-        if (n == 0) {
-          for (std::size_t c = 0; c < C; ++c) a[c] = eff_demand(k, c);
-        } else {
-          const std::size_t p = graph.node(n).parent;
-          const double mult = graph.node(n).multiplicity;
-          for (std::size_t i = 0; i < C; ++i) {
-            const double out = arrivals[k][p][i] * mult;
-            if (out <= 0.0) continue;
-            for (std::size_t j = 0; j < C; ++j) {
-              const double w = weights[k][n][i * C + j];
-              if (w > 0.0) a[j] += out * w;
-            }
-          }
-        }
-        const ServiceId svc = graph.node(n).service;
-        for (std::size_t c = 0; c < C; ++c) {
-          if (a[c] > 0.0) {
-            utilization[svc.index() * C + c] +=
-                a[c] * model.service_time(svc, ClassId{k}, ClusterId{c}) /
-                servers_at(svc.index(), c);
-          }
-        }
-      }
-    }
-  }
-
-  // Exact objective at the current weights (same units as the other arms).
-  [[nodiscard]] double objective() const {
-    double total = 0.0;
-    for (std::size_t s = 0; s < S; ++s) {
-      for (std::size_t c = 0; c < C; ++c) {
-        const double u = utilization[s * C + c];
-        if (u <= 0.0) continue;
-        total += servers_at(s, c) * (u + queue_cost(std::min(u, 0.999)));
-      }
-    }
-    for (std::size_t k = 0; k < K; ++k) {
-      const CallGraph& graph = app.traffic_class(ClassId{k}).graph;
-      for (std::size_t n = 1; n < graph.node_count(); ++n) {
-        const std::size_t p = graph.node(n).parent;
-        const double mult = graph.node(n).multiplicity;
-        for (std::size_t i = 0; i < C; ++i) {
-          const double out = arrivals[k][p][i] * mult;
-          if (out <= 0.0) continue;
-          for (std::size_t j = 0; j < C; ++j) {
-            if (i == j) continue;
-            const double w = weights[k][n][i * C + j];
-            if (w > 0.0) total += out * w * edge_cost(graph, n, i, j);
-          }
-        }
-      }
-    }
-    return total;
-  }
-
-  [[nodiscard]] double edge_cost(const CallGraph& graph, std::size_t n,
-                                 std::size_t i, std::size_t j) const {
-    const ClusterId ci{i}, cj{j};
-    const double rtt =
-        topology.one_way_latency(ci, cj) + topology.one_way_latency(cj, ci);
-    const double dollars =
-        (static_cast<double>(graph.node(n).request_bytes) *
-             topology.egress_price_per_gb(ci, cj) +
-         static_cast<double>(graph.node(n).response_bytes) *
-             topology.egress_price_per_gb(cj, ci)) /
-        kBytesPerGb;
-    return rtt + options.cost_weight * dollars;
-  }
-
-  // Negotiated price of serving class k's node n at cluster j: base cost
-  // (compute time + queue slope at the capped utilization) inflated by
-  // present congestion, plus the station's accumulated history.
-  [[nodiscard]] double station_price(std::size_t k, const CallGraph& graph,
-                                     std::size_t n, std::size_t j) const {
-    const ServiceId svc = graph.node(n).service;
-    const double st = model.service_time(svc, ClassId{k}, ClusterId{j});
-    const double u = utilization[svc.index() * C + j];
-    const double base =
-        st * (1.0 + queue_cost_derivative(std::min(u, options.max_utilization)));
-    const double over = std::max(0.0, u - options.max_utilization);
-    return base * (1.0 + options.present_weight * over) +
-           history[svc.index() * C + j];
-  }
-};
-
-}  // namespace
 
 RipupRouteOptimizer::RipupRouteOptimizer(const Application& app,
                                          const Deployment& deployment,
                                          const Topology& topology,
-                                         RipupOptions options)
+                                         RipupOptions options,
+                                         const OptimizerOptions& plan)
     : app_(&app),
       deployment_(&deployment),
       topology_(&topology),
+      plan_(plan),
       options_(options) {
-  if (!(options_.max_utilization > 0.0 && options_.max_utilization < 1.0)) {
-    throw std::invalid_argument(
-        "RipupRouteOptimizer: max_utilization must be in (0,1)");
-  }
-  app.validate();
-  deployment.validate();
+  validate_plan_model(app, deployment, topology, plan_);
 }
 
 OptimizerResult RipupRouteOptimizer::optimize(
@@ -151,71 +25,30 @@ OptimizerResult RipupRouteOptimizer::optimize(
   const std::size_t C = deployment_->cluster_count();
   const std::size_t K = app_->class_count();
   const std::size_t S = app_->service_count();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument("RipupRouteOptimizer: demand shape mismatch");
-  }
+  const double cap = plan_.max_utilization;
+  // Weights are fractional in the plan (so the load-shedding sweep can
+  // split), but the negotiation rounds only ever write 0/1. Routes start
+  // local where deployed, else nearest (the data plane's own fallback), so
+  // round 0 prices reflect the do-nothing plan.
+  WeightPlan d(*app_, *deployment_, *topology_, plan_, model, demand,
+               live_servers);
+  std::vector<double> history(S * C, 0.0);  // s * C + c
 
-  Negotiation d{*app_,    *deployment_, *topology_,
-                model,    options_,     C,
-                K,        S,            FlatMatrix<double>(K, C, 0.0),
-                {},       {},           {},
-                {},       {}};
-
-  // Effective demand (front-door anycast, same as the other arms).
-  for (std::size_t k = 0; k < K; ++k) {
-    const ServiceId entry = app_->entry_service(ClassId{k});
-    const auto entry_clusters = deployment_->clusters_for(entry);
-    for (std::size_t c = 0; c < C; ++c) {
-      const double dem = demand(k, c);
-      if (dem <= 0.0) continue;
-      if (deployment_->is_deployed(entry, ClusterId{c})) {
-        d.eff_demand(k, c) += dem;
-      } else {
-        d.eff_demand(k, topology_->nearest(ClusterId{c}, entry_clusters).index()) +=
-            dem;
-      }
+  // Negotiated price of serving class k's node n at cluster j: base cost
+  // (compute time + queue slope at the capped utilization) inflated by
+  // present congestion, plus the station's accumulated history.
+  auto station_price = [&](std::size_t k, ServiceId svc, std::size_t j) {
+    const double over = std::max(0.0, d.utilization[svc.index() * C + j] - cap);
+    return d.marginal_cost(k, svc, j) * (1.0 + options_.present_weight * over) +
+           history[svc.index() * C + j];
+  };
+  // The first destination a knob routes to, C when it routes nowhere.
+  auto current_of = [&](const std::vector<double>& w, std::size_t i) {
+    for (std::size_t j = 0; j < C; ++j) {
+      if (w[i * C + j] > 0.0) return j;
     }
-  }
-
-  d.servers.assign(S * C, 0.0);
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t c = 0; c < C; ++c) {
-      if (!deployment_->is_deployed(ServiceId{s}, ClusterId{c})) continue;
-      unsigned n = deployment_->servers(ServiceId{s}, ClusterId{c});
-      if (live_servers != nullptr && s * C + c < live_servers->size() &&
-          (*live_servers)[s * C + c] > 0) {
-        n = (*live_servers)[s * C + c];
-      }
-      d.servers[s * C + c] = static_cast<double>(n);
-    }
-  }
-
-  // Initial routes: local where deployed, else nearest (the data plane's own
-  // fallback, so round 0 prices reflect the do-nothing plan).
-  d.weights.resize(K);
-  d.arrivals.resize(K);
-  d.utilization.assign(S * C, 0.0);
-  d.history.assign(S * C, 0.0);
-  for (std::size_t k = 0; k < K; ++k) {
-    const CallGraph& graph = app_->traffic_class(ClassId{k}).graph;
-    const std::size_t N = graph.node_count();
-    d.weights[k].assign(N, {});
-    d.arrivals[k].assign(N, std::vector<double>(C, 0.0));
-    for (std::size_t n = 1; n < N; ++n) {
-      d.weights[k][n].assign(C * C, -1.0);
-      const ServiceId svc = graph.node(n).service;
-      const ServiceId parent_svc = graph.node(graph.node(n).parent).service;
-      const auto candidates = deployment_->clusters_for(svc);
-      for (std::size_t i = 0; i < C; ++i) {
-        if (!deployment_->is_deployed(parent_svc, ClusterId{i})) continue;
-        for (ClusterId j : candidates) d.weights[k][n][i * C + j.index()] = 0.0;
-        const ClusterId home = deployment_->is_deployed(svc, ClusterId{i})
-                                   ? ClusterId{i}
-                                   : topology_->nearest(ClusterId{i}, candidates);
-        d.weights[k][n][i * C + home.index()] = 1.0;
-      }
-    }
-  }
+    return C;
+  };
 
   // --- Negotiation rounds --------------------------------------------------
   d.forward();
@@ -239,25 +72,15 @@ OptimizerResult RipupRouteOptimizer::optimize(
           const double out = d.arrivals[k][p][i] * graph.node(n).multiplicity;
           if (out <= 0.0) continue;
           auto& w = d.weights[k][n];
-          std::size_t current = C;
-          for (std::size_t j = 0; j < C; ++j) {
-            if (w[i * C + j] > 0.0) {
-              current = j;
-              break;
-            }
-          }
+          const std::size_t current = current_of(w, i);
           // Rip up: remove this knob's load from its station so its own
           // congestion does not bias the re-route.
-          if (current != C) {
-            d.utilization[svc.index() * C + current] -=
-                out * model.service_time(svc, ClassId{k}, ClusterId{current}) /
-                d.servers_at(svc.index(), current);
-          }
+          if (current != C) d.add_load(k, svc, current, -out);
           std::size_t best_j = C;
           double best_price = 0.0;
           for (std::size_t j = 0; j < C; ++j) {
             if (w[i * C + j] < 0.0) continue;
-            double price = d.station_price(k, graph, n, j);
+            double price = station_price(k, svc, j);
             if (i != j) price += d.edge_cost(graph, n, i, j);
             if (best_j == C || price < best_price) {
               best_price = price;
@@ -270,9 +93,7 @@ OptimizerResult RipupRouteOptimizer::optimize(
             if (current != C) w[i * C + current] = 0.0;
             w[i * C + best_j] = 1.0;
           }
-          d.utilization[svc.index() * C + best_j] +=
-              out * model.service_time(svc, ClassId{k}, ClusterId{best_j}) /
-              d.servers_at(svc.index(), best_j);
+          d.add_load(k, svc, best_j, out);
         }
       }
     }
@@ -293,11 +114,8 @@ OptimizerResult RipupRouteOptimizer::optimize(
     // Bump history for stations still over the cap: persistent contention
     // gets durably expensive, which is what breaks reroute oscillations.
     for (std::size_t s = 0; s < S * C; ++s) {
-      const double over = d.utilization[s] - options_.max_utilization;
-      if (over > 0.0) {
-        d.history[s] +=
-            options_.history_increment * over / options_.max_utilization;
-      }
+      const double over = d.utilization[s] - cap;
+      if (over > 0.0) history[s] += options_.history_increment * over / cap;
     }
   }
 
@@ -316,28 +134,18 @@ OptimizerResult RipupRouteOptimizer::optimize(
       for (std::size_t i = 0; i < C; ++i) {
         const double out = d.arrivals[k][p][i] * graph.node(n).multiplicity;
         if (out <= 0.0) continue;
-        auto& w = d.weights[k][n];
-        std::size_t current = C;
-        for (std::size_t j = 0; j < C; ++j) {
-          if (w[i * C + j] > 0.0) {
-            current = j;
-            break;
-          }
-        }
+        const auto& w = d.weights[k][n];
+        const std::size_t current = current_of(w, i);
         if (current == C) continue;
-        const double u = d.utilization[svc.index() * C + current];
-        const double over = u - options_.max_utilization;
+        const double over = d.utilization[svc.index() * C + current] - cap;
         if (over <= 0.0) continue;
         // Cheapest alternative with headroom.
         std::size_t alt = C;
         double alt_price = 0.0;
         for (std::size_t j = 0; j < C; ++j) {
           if (j == current || w[i * C + j] < 0.0) continue;
-          if (d.utilization[svc.index() * C + j] >=
-              options_.max_utilization) {
-            continue;
-          }
-          double price = d.station_price(k, graph, n, j);
+          if (d.utilization[svc.index() * C + j] >= cap) continue;
+          double price = station_price(k, svc, j);
           if (i != j) price += d.edge_cost(graph, n, i, j);
           if (alt == C || price < alt_price) {
             alt_price = price;
@@ -347,19 +155,13 @@ OptimizerResult RipupRouteOptimizer::optimize(
         if (alt == C) continue;  // global overload: nothing has headroom
         // This knob's share of the station's utilization, and the fraction
         // of it that must move to bring the station back to the cap.
-        const double st =
-            model.service_time(svc, ClassId{k}, ClusterId{current});
-        const double knob_u = out * w[i * C + current] * st /
-                              d.servers_at(svc.index(), current);
+        const double knob_u =
+            out * w[i * C + current] *
+            model.service_time(svc, ClassId{k}, ClusterId{current}) /
+            d.servers[svc.index() * C + current];
         if (knob_u <= 0.0) continue;
         const double frac = std::min(1.0, over / knob_u) * w[i * C + current];
-        w[i * C + current] -= frac;
-        w[i * C + alt] += frac;
-        d.utilization[svc.index() * C + current] -=
-            out * frac * st / d.servers_at(svc.index(), current);
-        d.utilization[svc.index() * C + alt] +=
-            out * frac * model.service_time(svc, ClassId{k}, ClusterId{alt}) /
-            d.servers_at(svc.index(), alt);
+        d.shift(k, graph, n, i, out, current, alt, frac);
       }
     }
   }
@@ -383,49 +185,7 @@ OptimizerResult RipupRouteOptimizer::optimize(
   double prev_objective = best_objective;
   double step = options_.polish_step;
   for (std::size_t sweep = 0; sweep < options_.polish_sweeps; ++sweep) {
-    for (std::size_t k = 0; k < K; ++k) {
-      const CallGraph& graph = app_->traffic_class(ClassId{k}).graph;
-      for (std::size_t n = 1; n < graph.node_count(); ++n) {
-        const std::size_t p = graph.node(n).parent;
-        const ServiceId svc = graph.node(n).service;
-        for (std::size_t i = 0; i < C; ++i) {
-          const double out = d.arrivals[k][p][i] * graph.node(n).multiplicity;
-          if (out <= 0.0) continue;
-          auto& w = d.weights[k][n];
-          std::size_t src = C, dst = C;
-          double src_price = 0.0, dst_price = 0.0;
-          for (std::size_t j = 0; j < C; ++j) {
-            if (w[i * C + j] < 0.0) continue;
-            const double st =
-                model.service_time(svc, ClassId{k}, ClusterId{j});
-            const double u = d.utilization[svc.index() * C + j];
-            double price =
-                st * (1.0 + queue_cost_derivative(
-                                std::min(u, options_.max_utilization)));
-            if (i != j) price += d.edge_cost(graph, n, i, j);
-            if (w[i * C + j] > 1e-12 && (src == C || price > src_price)) {
-              src_price = price;
-              src = j;
-            }
-            if (dst == C || price < dst_price) {
-              dst_price = price;
-              dst = j;
-            }
-          }
-          if (src == C || dst == C || src == dst) continue;
-          if (src_price - dst_price <= 1e-12) continue;
-          const double delta = step * w[i * C + src];
-          w[i * C + src] -= delta;
-          w[i * C + dst] += delta;
-          d.utilization[svc.index() * C + src] -=
-              out * delta * model.service_time(svc, ClassId{k}, ClusterId{src}) /
-              d.servers_at(svc.index(), src);
-          d.utilization[svc.index() * C + dst] +=
-              out * delta * model.service_time(svc, ClassId{k}, ClusterId{dst}) /
-              d.servers_at(svc.index(), dst);
-        }
-      }
-    }
+    d.descent_sweep(1e-12, [&](double w) { return step * w; });
     d.forward();
     const double now = d.objective();
     if (now < best_objective) {
@@ -447,76 +207,10 @@ OptimizerResult RipupRouteOptimizer::optimize(
   d.weights = best_weights;
   d.forward();
 
-  // --- Package the result (same contract as the other arms) ----------------
-  OptimizerResult result;
+  OptimizerResult result = d.package();
   result.status = settled ? LpStatus::kOptimal : LpStatus::kIterationLimit;
   result.objective = best_objective;
   result.simplex_stats.iterations = rounds;
-
-  auto rules = std::make_shared<RoutingRuleSet>();
-  for (std::size_t k = 0; k < K; ++k) {
-    const CallGraph& graph = app_->traffic_class(ClassId{k}).graph;
-    for (std::size_t n = 1; n < graph.node_count(); ++n) {
-      const ServiceId parent_svc = graph.node(graph.node(n).parent).service;
-      for (std::size_t i = 0; i < C; ++i) {
-        if (!deployment_->is_deployed(parent_svc, ClusterId{i})) continue;
-        RouteWeights rule;
-        for (std::size_t j = 0; j < C; ++j) {
-          const double w = d.weights[k][n][i * C + j];
-          if (w < 0.0) continue;
-          rule.clusters.push_back(ClusterId{j});
-          rule.weights.push_back(std::max(w, 0.0));
-        }
-        rule.normalize();
-        rules->set_rule(ClassId{k}, n, ClusterId{i}, std::move(rule));
-      }
-    }
-  }
-  rules->validate();
-  result.rules = std::move(rules);
-
-  double total_demand = 0.0;
-  for (double dem : d.eff_demand.data()) total_demand += dem;
-  double latency = 0.0, egress = 0.0;
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t c = 0; c < C; ++c) {
-      const double u = d.utilization[s * C + c];
-      if (d.servers[s * C + c] <= 0.0) continue;
-      result.station_plans.push_back(
-          StationPlan{ServiceId{s}, ClusterId{c}, u, std::max(0.0, u - 1.0)});
-      if (u > options_.max_utilization + 1e-9) result.overloaded = true;
-      latency += d.servers[s * C + c] * (u + queue_cost(std::min(u, 0.999)));
-    }
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    const CallGraph& graph = app_->traffic_class(ClassId{k}).graph;
-    for (std::size_t n = 1; n < graph.node_count(); ++n) {
-      const std::size_t p = graph.node(n).parent;
-      const double mult = graph.node(n).multiplicity;
-      for (std::size_t i = 0; i < C; ++i) {
-        const double out = d.arrivals[k][p][i] * mult;
-        if (out <= 0.0) continue;
-        for (std::size_t j = 0; j < C; ++j) {
-          if (i == j) continue;
-          const double w = d.weights[k][n][i * C + j];
-          if (w <= 0.0) continue;
-          const ClusterId ci{i}, cj{j};
-          latency += out * w *
-                     (topology_->one_way_latency(ci, cj) +
-                      topology_->one_way_latency(cj, ci));
-          egress += out * w *
-                    (static_cast<double>(graph.node(n).request_bytes) *
-                         topology_->egress_price_per_gb(ci, cj) +
-                     static_cast<double>(graph.node(n).response_bytes) *
-                         topology_->egress_price_per_gb(cj, ci)) /
-                    kBytesPerGb;
-        }
-      }
-    }
-  }
-  result.predicted_mean_latency =
-      total_demand > 0.0 ? latency / total_demand : 0.0;
-  result.predicted_egress_dollars_per_sec = egress;
   return result;
 }
 

@@ -25,8 +25,9 @@
 // concentrates whole flows. The best plan by exact objective across all
 // phases is returned, so extra rounds never make the answer worse.
 //
-// Same result contract as RouteOptimizer / FastRouteOptimizer; the solver
-// guard selects this arm when the exact solve blows its wall budget.
+// Same result contract and plan-cost model (core/plan_model.h) as
+// RouteOptimizer / FastRouteOptimizer; the solver guard selects this arm
+// when the exact solve blows its wall budget.
 #pragma once
 
 #include "core/optimizer.h"
@@ -42,10 +43,6 @@ struct RipupOptions {
   // Present-congestion multiplier: a station at u = cap + x prices its base
   // cost up by (1 + present_weight * x).
   double present_weight = 8.0;
-  // Utilization treated as saturation (matches the exact optimizer's cap).
-  double max_utilization = 0.95;
-  // Same meaning as OptimizerOptions::cost_weight.
-  double cost_weight = 1.0;
   // Fractional-polish descent sweeps after negotiation (0 disables). Each
   // sweep shifts `polish_step` of a knob's weight from its most expensive
   // destination to its cheapest by true marginal cost; the phase stops early
@@ -57,8 +54,11 @@ struct RipupOptions {
 
 class RipupRouteOptimizer {
  public:
+  // `plan` supplies the objective's cost weight and utilization cap, as for
+  // RouteOptimizer; its LP-only fields are ignored.
   RipupRouteOptimizer(const Application& app, const Deployment& deployment,
-                      const Topology& topology, RipupOptions options = {});
+                      const Topology& topology, RipupOptions options = {},
+                      const OptimizerOptions& plan = {});
 
   // Same contract as RouteOptimizer::optimize. Always returns a complete,
   // conservation-clean rule set; `status` is kOptimal when a round made no
@@ -74,6 +74,7 @@ class RipupRouteOptimizer {
   const Application* app_;
   const Deployment* deployment_;
   const Topology* topology_;
+  OptimizerOptions plan_;
   RipupOptions options_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 
+#include "core/plan_model.h"
 #include "util/logging.h"
 
 namespace slate {
@@ -152,12 +153,11 @@ OptimizerResult SolverGuard::capacity_split(
       cap = static_cast<double>(deployment_->servers(svc, c)) /
             std::max(st, 1e-6);
     }
-    if (live_servers != nullptr) {
-      const unsigned live = (*live_servers)[svc.index() * C + c.index()];
-      const unsigned static_servers = deployment_->servers(svc, c);
-      if (live > 0 && static_servers > 0) {
-        cap *= static_cast<double>(live) / static_cast<double>(static_servers);
-      }
+    const unsigned live =
+        live_servers_at(live_servers, svc.index() * C + c.index());
+    const unsigned static_servers = deployment_->servers(svc, c);
+    if (live > 0 && static_servers > 0) {
+      cap *= static_cast<double>(live) / static_cast<double>(static_servers);
     }
     return std::max(cap, 1e-9);
   };

@@ -18,6 +18,9 @@
 
 namespace slate {
 
+// Egress prices are per GiB: bytes / kBytesPerGb * price is dollars.
+inline constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
+
 class Topology {
  public:
   // Creates a topology with `cluster_count` clusters named "cluster-<i>".

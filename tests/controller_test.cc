@@ -312,6 +312,38 @@ TEST(GlobalController, FastOptimizerProducesRulesToo) {
   EXPECT_TRUE(controller.last_result().ok());
 }
 
+TEST(GlobalController, FastOptimizerPlansAtTheConfiguredCostWeight) {
+  // Optimizer.CostWeightKeepsTrafficLocal through the controller's fast
+  // arm: the descent heuristic prices egress at optimizer.cost_weight, so a
+  // cost-averse controller keeps the moderately overloaded West local.
+  TwoClusterChainParams params;
+  params.west_rps = 650.0;
+  const Scenario scenario = make_two_cluster_chain_scenario(params);
+  const ServiceId svc = scenario.app->find_service("svc-1");
+  auto plan = [&](double cost_weight) {
+    GlobalControllerOptions options;
+    options.use_fast_optimizer = true;
+    options.optimizer.cost_weight = cost_weight;
+    GlobalController controller(*scenario.app, *scenario.deployment,
+                                *scenario.topology, options);
+    controller.on_reports(
+        {synthetic_report(ClusterId{0}, 0.0, 1.0, svc, 650.0, 2e-3, 0.9, 20e-3),
+         synthetic_report(ClusterId{1}, 0.0, 1.0, svc, 100.0, 2e-3, 0.2, 8e-3)},
+        1.0);
+    return controller.last_result();
+  };
+  const OptimizerResult latency_only = plan(0.0);
+  const OptimizerResult cost_averse = plan(1e7);
+  ASSERT_TRUE(latency_only.ok() && cost_averse.ok());
+  // Offloading pays for latency alone...
+  EXPECT_GT(latency_only.predicted_egress_dollars_per_sec, 0.0);
+  // ...but not once egress dollars dominate the objective.
+  EXPECT_EQ(cost_averse.predicted_egress_dollars_per_sec, 0.0);
+  const RouteWeights* west = cost_averse.rules->find(ClassId{0}, 1, ClusterId{0});
+  ASSERT_NE(west, nullptr);
+  EXPECT_EQ(west->weight_for(ClusterId{0}), 1.0);
+}
+
 TEST(GlobalController, LiveServersTrackedFromReports) {
   const Scenario scenario = make_two_cluster_chain_scenario({});
   GlobalController controller(*scenario.app, *scenario.deployment,

@@ -4,6 +4,7 @@
 
 #include "core/fast_optimizer.h"
 #include "core/optimizer.h"
+#include "core/ripup_optimizer.h"
 #include "net/gcp_topology.h"
 #include "runtime/scenarios.h"
 
@@ -166,12 +167,21 @@ TEST(FastOptimizer, DemandShapeMismatchThrows) {
 }
 
 TEST(FastOptimizer, BadOptionsThrow) {
+  // The heuristic plans at the exact optimizer's cap and shares its check.
   const Scenario scenario = make_two_cluster_chain_scenario({});
-  FastOptimizerOptions options;
-  options.max_utilization = 0.0;
-  EXPECT_THROW(FastRouteOptimizer(*scenario.app, *scenario.deployment,
-                                  *scenario.topology, options),
-               std::invalid_argument);
+  for (const double cap : {0.0, 1.0}) {
+    OptimizerOptions plan;
+    plan.max_utilization = cap;
+    EXPECT_THROW(FastRouteOptimizer(*scenario.app, *scenario.deployment,
+                                    *scenario.topology, {}, plan),
+                 std::invalid_argument);
+    EXPECT_THROW(RipupRouteOptimizer(*scenario.app, *scenario.deployment,
+                                     *scenario.topology, {}, plan),
+                 std::invalid_argument);
+    EXPECT_THROW(RouteOptimizer(*scenario.app, *scenario.deployment,
+                                *scenario.topology, plan),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // controller-chaos acceptance gauntlet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -337,6 +338,69 @@ TEST(SolverGuard, CapacitySplitFavorsLocalAndCoversCandidates) {
     const double local = w.weight_for(from);
     EXPECT_GT(local, 0.0);
   });
+}
+
+TEST(SolverGuard, CapacitySplitReadsLiveServersWithinBounds) {
+  // The split reads live server counts through the plan model's
+  // bounds-checked accessor: stations past the end of a short vector keep
+  // their static capacity instead of reading past it.
+  SolverFixture f;
+  SolverGuardOptions o;
+  o.hold_fresh_periods = 0;
+  SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
+                    *f.scenario.topology, o);
+  const std::vector<unsigned> short_live(1, 3);
+  const auto outcome = guard.solve(f.primary, f.fast, f.ripup, false, f.model,
+                                   f.demand, &short_live, nullptr,
+                                   /*solver_down=*/true, /*have_last_good=*/false);
+  ASSERT_EQ(outcome.rung, SolverRung::kCapacitySplit);
+  ASSERT_NE(outcome.result.rules, nullptr);
+  outcome.result.rules->validate();
+}
+
+TEST(SolverGuard, FallbackRungPlansAgainstTheConfiguredCap) {
+  // The guard's fallback rungs are the controller's heuristics, built from
+  // the same OptimizerOptions as the exact rung. With the exact rung failing,
+  // the fast rung's plan is judged against the configured cap of 0.8, at
+  // which the exact plan fits, not against a private default of 0.95.
+  TwoClusterChainParams params;
+  params.rtt = 100e-3;
+  params.west_rps = 600.0;
+  params.east_rps = 100.0;
+  const Scenario scenario = make_two_cluster_chain_scenario(params);
+  GlobalControllerOptions options;
+  options.optimizer.max_utilization = 0.8;
+  options.guard.solver.enabled = true;
+  FlatMatrix<double> demand(1, 2, 0.0);
+  demand(0, 0) = params.west_rps;
+  demand(0, 1) = params.east_rps;
+  const OptimizerResult exact =
+      RouteOptimizer(*scenario.app, *scenario.deployment, *scenario.topology,
+                     options.optimizer)
+          .optimize(LatencyModel::from_application(*scenario.app, 2), demand);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_FALSE(exact.overloaded);
+
+  options.optimizer.simplex.max_iterations = 1;  // the exact rung fails
+  GlobalController controller(*scenario.app, *scenario.deployment,
+                              *scenario.topology, options);
+  std::vector<ClusterReport> reports(2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    reports[c].cluster = ClusterId{c};
+    reports[c].period_start = 0.0;
+    reports[c].period_end = 1.0;
+    reports[c].ingress_rps = {demand(0, c)};
+  }
+  controller.on_reports(reports, 1.0);
+  ASSERT_EQ(controller.solve_telemetry().fast, 1u);
+  const OptimizerResult& plan = controller.last_result();
+  ASSERT_TRUE(plan.ok());
+  double max_utilization = 0.0;
+  for (const StationPlan& station : plan.station_plans) {
+    max_utilization = std::max(max_utilization, station.utilization);
+  }
+  EXPECT_EQ(plan.overloaded, max_utilization > 0.8 + 1e-9)
+      << "max utilization " << max_utilization;
 }
 
 // --- RuleRollout ------------------------------------------------------------

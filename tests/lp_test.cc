@@ -650,6 +650,53 @@ TEST(SimplexDifferential, WarmMatchesColdOnNetworkLps) {
   EXPECT_GT(fallbacks, 0);
 }
 
+TEST(SimplexDifferential, WarmRatioTestVisitsTiedRowsInAscendingOrder) {
+  // A degenerate next period: B keeps A's layout, but every rhs except one
+  // sits within 2e-9 of zero, so once the crash has installed A's optimal
+  // basis, B's phase 2 ratio tests compare rows whose ratios tie within the
+  // 1e-9 tolerance. Ties go to the lower basic column, but the tolerance is
+  // not transitive, so the row visited first can still decide which row
+  // leaves. The crash's fill-in appends rows to column lists out of order;
+  // the sparse store must visit them in ascending row order, as the dense
+  // store does, or this solve ends on another basis.
+  const double inf = kLpInfinity;
+  auto build = [&](const double (&cost)[4], const double (&rhs)[8]) {
+    LpModel lp;
+    lp.add_variable(0.0, 4.0, cost[0]);
+    lp.add_variable(0.0, inf, cost[1]);
+    lp.add_variable(0.0, inf, cost[2]);
+    lp.add_variable(0.0, 3.0, cost[3]);
+    lp.add_constraint({{1, 1.0}, {2, 3.0}}, Relation::kLessEqual, rhs[0]);
+    lp.add_constraint({{0, -0.5}, {2, 2.0}}, Relation::kLessEqual, rhs[1]);
+    lp.add_constraint({{1, 1.0}, {2, 1.0}, {3, 3.0}}, Relation::kLessEqual,
+                      rhs[2]);
+    lp.add_constraint({{2, 3.5}, {3, 5.0}}, Relation::kLessEqual, rhs[3]);
+    lp.add_constraint({{2, -1.0}, {3, -1.0}}, Relation::kLessEqual, rhs[4]);
+    lp.add_constraint({{0, 2.0}, {2, 5.5}, {3, -1.0}}, Relation::kLessEqual,
+                      rhs[5]);
+    lp.add_constraint({{1, 3.0}, {3, 2.0}}, Relation::kEqual, rhs[6]);
+    lp.add_constraint({{0, 2.0}, {3, 1.0}}, Relation::kLessEqual, rhs[7]);
+    return lp;
+  };
+  const LpModel a = build({-3.0, -1.0, -3.0, -5.0},
+                          {3.0, 4.0, 6.0, 6.0, 6.0, 2.0, 4.0, 2.0});
+  const LpModel b = build({-1.0, 3.0, -5.0, 0.0},
+                          {7e-10, 3e-10, 0.0, 7e-10, 3.0, 1.6e-9, 1.1e-9, 1.1e-9});
+  SimplexBasis basis;
+  ASSERT_TRUE(solve_lp(a, {}, nullptr, &basis).ok());
+  ASSERT_EQ(basis.basis, (std::vector<int>{4, 5, 6, 3, 8, 2, 1, 0, 11, 12}));
+
+  SimplexStats stats;
+  const LpSolution warm = solve_lp(b, {}, &stats, &basis);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(stats.warm_started);
+  EXPECT_EQ(stats.crash_pivots, 4u);
+  EXPECT_EQ(stats.iterations, 2u);
+  EXPECT_EQ(basis.basis, (std::vector<int>{4, 5, 6, 3, 8, 2, 1, 10, 11, 12}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.objective),
+            std::bit_cast<std::uint64_t>(-1.9032258064516134e-10));
+}
+
 TEST(SimplexDifferential, MilpMatchesIntegerEnumeration) {
   Rng rng(7919);
   int feasible = 0;

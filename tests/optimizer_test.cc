@@ -7,10 +7,16 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "app/builders.h"
+#include "contingency/headroom_planner.h"
+#include "core/fast_optimizer.h"
 #include "core/optimizer.h"
+#include "core/plan_eval.h"
+#include "core/ripup_optimizer.h"
 #include "net/gcp_topology.h"
 #include "runtime/scenarios.h"
 #include "topogen/topogen.h"
@@ -678,6 +684,135 @@ TEST(OptimizerWarmStart, PlansAndPivotsPinnedAcrossPerturbations) {
     EXPECT_NEAR(result.objective, cold.objective,
                 1e-6 * std::fabs(cold.objective))
         << "step " << step;
+  }
+}
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(PlanCostModel, PlannerOutputsPinned) {
+  // Every planner that prices a plan — the exact LP, the descent and rip-up
+  // heuristics, the plan evaluator and the N-1 headroom check — on the
+  // 10-cluster / 50-service world, once with the deployment's server counts
+  // and once with a live-server override. The rule digests, the reported
+  // objective and predicted metric bits, the evaluated plan costs and the
+  // worst single-failure margin are pinned, so moving their shared cost
+  // model (edge cost, front-door anycast, live-server override) may not
+  // change one bit of any of them.
+  TopoGenOptions options;
+  options.seed = 5;
+  options.clusters = 10;
+  options.services = 50;
+  options.classes = 4;
+  options.total_rps = 1500.0;
+  const Scenario scenario = make_synth_scenario(options);
+  const std::size_t S = scenario.app->service_count();
+  const std::size_t C = scenario.topology->cluster_count();
+  const Application& app = *scenario.app;
+  const Deployment& deployment = *scenario.deployment;
+  const Topology& topology = *scenario.topology;
+  const LatencyModel model = LatencyModel::from_application(app, C);
+  FlatMatrix<double> demand(app.class_count(), C, 0.0);
+  for (const auto& stream : scenario.demand.streams()) {
+    demand(stream.cls.index(), stream.cluster.index()) +=
+        scenario.demand.rate_at(stream.cls, stream.cluster, 0.0);
+  }
+  std::vector<unsigned> live(S * C, 0);
+  for (std::size_t s = 0; s < S; ++s) {
+    for (std::size_t c = 0; c < C; ++c) {
+      const unsigned base = deployment.servers(ServiceId{s}, ClusterId{c});
+      if (base > 1 && (s + c) % 3 == 0) live[s * C + c] = base - 1;
+      if (base > 0 && (s + c) % 5 == 0) live[s * C + c] = base + 2;
+    }
+  }
+
+  const RouteOptimizer exact(app, deployment, topology);
+  const FastRouteOptimizer fast(app, deployment, topology);
+  const RipupRouteOptimizer ripup(app, deployment, topology);
+  const HeadroomPlanner headroom(app, deployment, topology);
+
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t objective;
+    std::uint64_t mean_latency;
+    std::uint64_t egress;
+    std::uint64_t plan_cost;          // evaluate_plan_cost, cost weight 1
+    std::uint64_t plan_cost_weighted;  // evaluate_plan_cost, cost weight 300
+    std::uint64_t margin;
+    std::size_t worst;
+  };
+  // [live override][exact, fast, ripup]
+  const Pin expected[2][3] = {
+      {
+          {0x7aadec7dd0709feull, 0x40aa49c275012975ull, 0x3ffa6562494133e2ull,
+           0x3f755024453e5d9dull, 0x40a3554426abca2aull, 0x40a35860b9f76625ull,
+           0x3ffa6c10c35498b9ull, 0},
+          {0xb2d6e4e5f4b93713ull, 0x40a3673b91bbf261ull, 0x3ffa7dea2c8ef03full,
+           0x3f76a76b962ec127ull, 0x40a3673bd89023bbull, 0x40a36a8a89e530cfull,
+           0x3ff6af7843b2dc31ull, 4},
+          {0x800b3ae34ff01339ull, 0x40a374e142106a08ull, 0x3ffa908badb4b22cull,
+           0x3f77a2b48c17a4b3ull, 0x40a374e142106a05ull, 0x40a37854a32c5df9ull,
+           0x3ff566c0d5fb9c2full, 0},
+      },
+      {
+          {0xf0f0893f2db91f37ull, 0x40aa44817b1c8932ull, 0x3ffa5da3dff8e812ull,
+           0x3f76ce50bebed81full, 0x40a34f986054e5d9ull, 0x40a352ecbf5ebef6ull,
+           0x40097d409983e8aeull, 5},
+          {0x29ff9b28cb708aaull, 0x40a3688a8b5ef1ffull, 0x3ffa7fb30c917c5cull,
+           0x3f773d531b237dd8ull, 0x40a3688a8b5ef1fdull, 0x40a36bef1f61084bull,
+           0x40098498d9094748ull, 5},
+          {0xcdfe7b8168914515ull, 0x40a3740e91ad8231ull, 0x3ffa8f6c0392c2dcull,
+           0x3f77a87c23c5eb9dull, 0x40a3740e91ad8235ull, 0x40a37782cacd3b3bull,
+           0x40090497c3eb8ac1ull, 5},
+      },
+  };
+  const char* const arm_names[] = {"exact", "fast", "ripup"};
+  for (int with_live = 0; with_live < 2; ++with_live) {
+    const std::vector<unsigned>* servers = with_live != 0 ? &live : nullptr;
+    const OptimizerResult results[] = {
+        exact.optimize(model, demand, servers),
+        fast.optimize(model, demand, servers),
+        ripup.optimize(model, demand, servers),
+    };
+    for (int arm = 0; arm < 3; ++arm) {
+      const OptimizerResult& r = results[arm];
+      ASSERT_NE(r.rules, nullptr);
+      ClusterId worst{0};
+      const double margin = headroom.worst_case_margin(model, demand, *r.rules,
+                                                       servers, &worst);
+      const Pin got{
+          rule_digest(r, scenario),
+          double_bits(r.objective),
+          double_bits(r.predicted_mean_latency),
+          double_bits(r.predicted_egress_dollars_per_sec),
+          double_bits(evaluate_plan_cost(app, deployment, topology, model,
+                                         demand, *r.rules, servers)),
+          double_bits(evaluate_plan_cost(app, deployment, topology, model,
+                                         demand, *r.rules, servers, 300.0)),
+          double_bits(margin),
+          worst.index(),
+      };
+      const Pin& want = expected[with_live][arm];
+      const std::string where = std::string(arm_names[arm]) +
+                                (with_live != 0 ? " live" : " static");
+      std::ostringstream actual;
+      actual << std::hex << "{0x" << got.digest << "ull, 0x" << got.objective
+             << "ull, 0x" << got.mean_latency << "ull, 0x" << got.egress
+             << "ull, 0x" << got.plan_cost << "ull, 0x"
+             << got.plan_cost_weighted << "ull, 0x" << got.margin << "ull, "
+             << std::dec << got.worst << "}";
+      EXPECT_EQ(got.digest, want.digest) << where << " " << actual.str();
+      EXPECT_EQ(got.objective, want.objective) << where << " " << actual.str();
+      EXPECT_EQ(got.mean_latency, want.mean_latency) << where;
+      EXPECT_EQ(got.egress, want.egress) << where;
+      EXPECT_EQ(got.plan_cost, want.plan_cost) << where;
+      EXPECT_EQ(got.plan_cost_weighted, want.plan_cost_weighted) << where;
+      EXPECT_EQ(got.margin, want.margin) << where;
+      EXPECT_EQ(got.worst, want.worst) << where;
+    }
   }
 }
 

@@ -21,14 +21,12 @@ allocator is deterministic for a fixed seed — unlike wall time, an
 allocs/request increase is a code change, not machine noise, so the default
 headroom is only 10%.
 
-New cases missing from the baseline are reported and skipped. Baseline
-cases missing from the current run get one grace period: the first
-absence is a warning recorded in a state file next to the baseline
-(<baseline>.missing), so a bench binary that drops or renames a case
-mid-refactor shows up loudly without blocking the change that caused it —
-but the *next* run that still lacks the case fails, so a dropped case
-cannot silently rot out of the gate. A run where the case reappears (or
-the baseline is regenerated) clears the record. Regenerate the baseline
+New cases missing from the baseline are reported and skipped. A baseline
+case missing from the current run fails the check at once, unless the run
+declares it skipped: a bench that leaves cases out on purpose (for
+example micro_optimizer_scaling's cluster cap) lists their names in a
+top-level "skipped_cases" array. A bench binary that drops or renames a
+case therefore fails the first run that lacks it. Regenerate the baseline
 with `./bench/micro_simulator BENCH_simulator.json` to re-pin the case
 set.
 """
@@ -36,24 +34,6 @@ set.
 import json
 import pathlib
 import sys
-
-
-def load_missing_state(state_path):
-    """Case/policy pairs recorded missing by the previous run."""
-    try:
-        with open(state_path) as f:
-            return {tuple(entry) for entry in json.load(f)}
-    except (OSError, ValueError):
-        return set()
-
-
-def store_missing_state(state_path, missing):
-    if missing:
-        with open(state_path, "w") as f:
-            json.dump(sorted(list(k) for k in missing), f, indent=2)
-            f.write("\n")
-    else:
-        pathlib.Path(state_path).unlink(missing_ok=True)
 
 
 METRIC_KEYS = ("events_per_sec", "solves_per_sec")
@@ -70,6 +50,7 @@ def metric_of(run, path):
 
 
 def load_runs(path):
+    """(case, policy) -> run, and the case names the run declares skipped."""
     with open(path) as f:
         doc = json.load(f)
     runs = {}
@@ -77,7 +58,7 @@ def load_runs(path):
         runs[(run["case"], run["policy"])] = run
     if not runs:
         sys.exit(f"error: no runs in {path}")
-    return runs
+    return runs, set(doc.get("skipped_cases", []))
 
 
 def main(argv):
@@ -101,14 +82,11 @@ def main(argv):
         else pathlib.Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
     )
 
-    current = load_runs(current_path)
-    baseline = load_runs(baseline_path)
-    state_path = str(baseline_path) + ".missing"
-    previously_missing = load_missing_state(state_path)
-    missing_now = set()
+    current, skipped = load_runs(current_path)
+    baseline, _ = load_runs(baseline_path)
 
     failures = []
-    warnings = []
+    notes = []
     header = (
         f"    {'case/policy':28s} {'base rate':>12s} {'cur rate':>12s} "
         f"{'delta':>8s} {'allocs/evt':>16s}"
@@ -119,26 +97,19 @@ def main(argv):
         name = f"{key[0]}/{key[1]}"
         cur = current.get(key)
         if cur is None:
-            missing_now.add(key)
-            if key in previously_missing:
-                failures.append(
-                    f"{name}: in baseline but missing from the current run "
-                    f"for the second consecutive check — regenerate the "
-                    f"baseline or restore the case"
-                )
-                print(
-                    f"REG {name:28s} {metric_of(base, baseline_path):12,.0f} "
-                    f"{'-':>12s}"
-                )
+            if key[0] in skipped:
+                notes.append(f"{name}: skipped by the bench run")
+                marker = "SKP"
             else:
-                warnings.append(
-                    f"{name}: in baseline but missing from the current run "
-                    f"(recorded; a second consecutive absence fails)"
+                failures.append(
+                    f"{name}: in baseline but neither run nor declared "
+                    f"skipped — regenerate the baseline or restore the case"
                 )
-                print(
-                    f"WRN {name:28s} {metric_of(base, baseline_path):12,.0f} "
-                    f"{'-':>12s}"
-                )
+                marker = "REG"
+            print(
+                f"{marker} {name:28s} {metric_of(base, baseline_path):12,.0f} "
+                f"{'-':>12s}"
+            )
             continue
         base_eps = metric_of(base, baseline_path)
         cur_eps = metric_of(cur, current_path)
@@ -179,14 +150,12 @@ def main(argv):
             f"{'-':>8s} (not in baseline, skipped)"
         )
 
-    store_missing_state(state_path, missing_now)
-
-    if warnings:
-        print(f"\n{len(warnings)} warning(s) (non-fatal):")
-        for w in warnings:
-            print(f"  {w}")
+    if notes:
+        print(f"\n{len(notes)} baseline run(s) not compared:")
+        for note in notes:
+            print(f"  {note}")
     if failures:
-        print(f"\n{len(failures)} perf regression(s) beyond {threshold:.0%}:")
+        print(f"\n{len(failures)} failure(s), rate threshold {threshold:.0%}:")
         for f in failures:
             print(f"  {f}")
         return 1
